@@ -1,20 +1,27 @@
-// Command gopointsto points the paper's analyses at real Go packages.
+// Command gopointsto runs the paper's analyses on real Go packages or
+// on a ".jp" program file.
 //
 // Usage:
 //
 //	gopointsto [flags] ./path/to/pkg [./other/pkg/...]
+//	gopointsto [flags] program.jp
 //
 // Patterns are directories inside one module, optionally with a
 // trailing /... for recursion (e.g. `gopointsto ./internal/order` or
 // `gopointsto ./...` from the module root). The packages are parsed
-// and type-checked with the standard library only, lowered into the
-// IR by internal/frontend/gofront, and solved exactly like a .jp
-// program — the whole downstream pipeline is shared with cmd/pointsto.
+// and type-checked with the standard library only and lowered into the
+// IR by internal/frontend/gofront. A single argument ending in .jp is
+// instead parsed as a program in the textual IR format
+// (internal/program). Either way the IR then goes through the same
+// fact extraction, solve and reports.
 //
-// Algorithms (-algo): ci, cif, otf, cs (default), heap-cs, type,
-// threads — the same set as pointsto plus Algorithm 8's heap-cloned
-// mode. -entries picks the analysis roots: auto (main.main when
-// present, else every exported function), main, exported, or all.
+// Algorithms (-algo): ci (Algorithm 1), cif (Algorithm 2,
+// type-filtered), otf (Algorithm 3, on-the-fly call graph), cs
+// (Algorithm 5, the default), heap-cs (Algorithm 8, heap cloning), type
+// (Algorithm 6; also prints the vTC size) and threads (Algorithm 7,
+// prints the escape report). -var prints one variable's points-to set.
+// -entries picks the Go analysis roots: auto (main.main when present,
+// else every exported function), main, exported, or all.
 //
 // Reports (-report, comma-separated):
 //
@@ -32,12 +39,17 @@
 //
 // Both reports are heuristics bounded by the frontend's documented
 // approximations — see the Caveats table in internal/frontend/gofront
-// and DESIGN.md §11.
+// and DESIGN.md §11. A .jp program has no source positions, so its
+// reports fall back to the raw names.
 //
 // -bench-out FILE writes the session metrics (lowering tallies, solve
 // time, BDD statistics) as a metrics JSON. Observability (-trace,
 // -metrics, -v, -cpuprofile) and resilience (-timeout, -max-nodes,
-// -checkpoint-dir, -resume) flags are shared with the other commands.
+// -checkpoint-dir, -resume) flags are shared with the other commands:
+// budgets exit with code 3, Ctrl-C with code 4. A context-sensitive run
+// that blows its budget degrades to the context-insensitive result
+// instead of failing; the solved line then names the mode that ran,
+// e.g. "cs (degraded to otf): solved in ...".
 package main
 
 import (
@@ -52,11 +64,11 @@ import (
 	"bddbddb/internal/analysis"
 	"bddbddb/internal/callgraph"
 	"bddbddb/internal/datalog"
-	"bddbddb/internal/datalog/plan"
 	"bddbddb/internal/extract"
 	"bddbddb/internal/frontend/gofront"
 	"bddbddb/internal/obs"
 	"bddbddb/internal/precision"
+	"bddbddb/internal/program"
 	"bddbddb/internal/resilience"
 )
 
@@ -69,8 +81,6 @@ func main() {
 	report := flag.String("report", "", "comma-separated reports: nil,escape,precision")
 	varName := flag.String("var", "", "print the points-to set of this variable (Class.method/v)")
 	noOpt := flag.Bool("noopt", false, "disable the Datalog plan optimizer (pinned textual-order execution)")
-	backend := datalog.BackendFlag{Mode: datalog.BackendAuto}
-	flag.Var(&backend, "backend", "relation storage backend: auto, bdd, or explicit")
 	benchOut := flag.String("bench-out", "", "write lowering+solve metrics JSON to this file")
 	var oflags obs.Flags
 	oflags.Register(flag.CommandLine)
@@ -78,7 +88,7 @@ func main() {
 	rflags.Register(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: gopointsto [flags] ./pkg [./pkg/...]")
+		fmt.Fprintln(os.Stderr, "usage: gopointsto [flags] ./pkg [./pkg/...] | program.jp")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -88,7 +98,7 @@ func main() {
 		os.Exit(1)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	runErr := run(ctx, sess, rflags, flag.Args(), *algo, *entries, *report, *varName, *noOpt, backend.Mode, *benchOut)
+	runErr := run(ctx, sess, rflags, flag.Args(), *algo, *entries, *report, *varName, *noOpt, *benchOut)
 	stop()
 	if err := sess.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "gopointsto:", err)
@@ -100,7 +110,7 @@ func main() {
 }
 
 func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags,
-	patterns []string, algo, entries, report, varName string, noOpt bool, backend plan.BackendMode, benchOut string) error {
+	patterns []string, algo, entries, report, varName string, noOpt bool, benchOut string) error {
 	tr := sess.Tracer
 	reports := make(map[string]bool)
 	for _, r := range strings.Split(report, ",") {
@@ -114,22 +124,11 @@ func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags,
 		reports[r] = true
 	}
 
-	obs.Begin(tr, "gopointsto.lower")
-	res, err := gofront.Lower(patterns, gofront.Options{Entries: gofront.EntryMode(entries)})
-	obs.End(tr)
+	res, err := load(tr, patterns, entries)
 	if err != nil {
 		return err
 	}
 	meta := res.Meta
-	st := res.Prog.Stats()
-	fmt.Printf("lowered %d packages (%d requested): %d classes, %d methods, %d stmts, %d allocation sites\n",
-		len(meta.Packages), len(meta.Requested), st.Classes, st.Methods, st.Stmts, st.Allocs)
-	if meta.TypeErrors > 0 {
-		fmt.Printf("tolerated %d type errors from placeholder imports (external code is opaque)\n", meta.TypeErrors)
-	}
-	if meta.Goroutines > 0 {
-		fmt.Printf("goroutines: %d spawn sites lowered as Thread subclasses\n", meta.Goroutines)
-	}
 
 	obs.Begin(tr, "gopointsto.extract")
 	f, err := extract.Extract(res.Prog, extract.Options{})
@@ -146,7 +145,6 @@ func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags,
 	if noOpt {
 		cfg.Plan = datalog.LegacyPlan()
 	}
-	cfg.Plan.Backend = backend
 	var r *analysis.Result
 	obs.Begin(tr, "gopointsto.analyze", obs.A("algo", algo))
 	switch algo {
@@ -171,12 +169,16 @@ func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags,
 	if err != nil {
 		return err
 	}
+	mode := algo
 	if r.Degraded {
+		// Stdout names the mode that actually ran, so a check for
+		// "cs: solved" cannot pass on the fallback answer.
+		mode += " (degraded to otf)"
 		fmt.Fprintf(os.Stderr, "gopointsto: degraded to context-insensitive result: %v\n", r.DegradedCause)
 	}
 	solved := r.Stats()
 	fmt.Printf("%s: solved in %v, %d iterations, peak %d live BDD nodes\n",
-		algo, solved.SolveTime, solved.Iterations, solved.PeakLiveNodes)
+		mode, solved.SolveTime, solved.Iterations, solved.PeakLiveNodes)
 	if r.Numbering != nil {
 		fmt.Printf("contexts: max %s per method, %s total reduced call paths\n",
 			callgraph.FormatPathCount(r.Numbering.MaxContexts),
@@ -185,6 +187,9 @@ func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags,
 	pairs := r.PointsToPairs()
 	fmt.Printf("points-to pairs (context-projected): %d over %d variables and %d heap objects\n",
 		len(pairs), len(f.Vars), len(f.Heaps))
+	if algo == "type" && !r.Degraded {
+		fmt.Printf("vTC: %s tuples\n", r.RelationSize("vTC"))
+	}
 
 	if varName != "" {
 		v := f.VarIndex(varName)
@@ -232,6 +237,45 @@ func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags,
 		fmt.Printf("metrics written to %s\n", benchOut)
 	}
 	return nil
+}
+
+// load produces the IR program: a single .jp argument is parsed as the
+// textual IR, anything else is lowered from Go packages. A .jp program
+// gets empty lowering metadata, so the reports fall back to raw names.
+func load(tr obs.Tracer, args []string, entries string) (*gofront.Result, error) {
+	if len(args) == 1 && strings.HasSuffix(args[0], ".jp") {
+		src, err := os.ReadFile(args[0])
+		if err != nil {
+			return nil, err
+		}
+		obs.Begin(tr, "gopointsto.parse")
+		prog, err := program.Parse(string(src))
+		obs.End(tr)
+		if err != nil {
+			return nil, err
+		}
+		st := prog.Stats()
+		fmt.Printf("parsed %s: %d classes, %d methods, %d stmts, %d allocation sites\n",
+			args[0], st.Classes, st.Methods, st.Stmts, st.Allocs)
+		return &gofront.Result{Prog: prog, Meta: &gofront.Meta{}}, nil
+	}
+	obs.Begin(tr, "gopointsto.lower")
+	res, err := gofront.Lower(args, gofront.Options{Entries: gofront.EntryMode(entries)})
+	obs.End(tr)
+	if err != nil {
+		return nil, err
+	}
+	meta := res.Meta
+	st := res.Prog.Stats()
+	fmt.Printf("lowered %d packages (%d requested): %d classes, %d methods, %d stmts, %d allocation sites\n",
+		len(meta.Packages), len(meta.Requested), st.Classes, st.Methods, st.Stmts, st.Allocs)
+	if meta.TypeErrors > 0 {
+		fmt.Printf("tolerated %d type errors from placeholder imports (external code is opaque)\n", meta.TypeErrors)
+	}
+	if meta.Goroutines > 0 {
+		fmt.Printf("goroutines: %d spawn sites lowered as Thread subclasses\n", meta.Goroutines)
+	}
+	return res, nil
 }
 
 // heapLabel renders a heap object as `file:line new T` when the

@@ -1,5 +1,5 @@
 // Command synthgen emits the synthetic benchmark programs as ".jp"
-// text for inspection or use with cmd/pointsto.
+// text for inspection or use with cmd/gopointsto.
 //
 // Usage:
 //

@@ -23,7 +23,7 @@
 //	order       empirical BDD variable-order search
 //	experiments the Figure 3-6 harness
 //
-// Entry points: cmd/bddbddb (run Datalog), cmd/pointsto (analyze a .jp
-// program), cmd/synthgen (emit benchmarks), cmd/experiments (regenerate
+// Entry points: cmd/bddbddb (run Datalog), cmd/gopointsto (analyze Go
+// packages or a .jp program), cmd/synthgen (emit benchmarks), cmd/experiments (regenerate
 // the paper's tables). See README.md, DESIGN.md and EXPERIMENTS.md.
 package bddbddb

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"bddbddb/internal/datalog"
-	"bddbddb/internal/datalog/plan"
 	"bddbddb/internal/extract"
 	"bddbddb/internal/synth"
 )
@@ -57,9 +56,9 @@ class Main {
 
 // relationFingerprint captures cardinality plus the full sorted tuple
 // set for every relation the solve declared, keyed by relation name.
-// Enumeration order is a representation detail (BDD variable order vs
-// explicit row order), so a prefix sample would not be comparable
-// across storage backends; relations past the cap compare by
+// Enumeration follows the BDD variable order, which the physical
+// bindings of each plan can change, so a prefix sample would not be
+// comparable across plans; relations past the cap compare by
 // cardinality alone.
 const fingerprintTupleCap = 50000
 
@@ -148,27 +147,14 @@ func TestPlannerDifferentialAllAlgorithms(t *testing.T) {
 			return RunContextInsensitive(pf, true, cfg)
 		}},
 	}
-	// The sweep is a backend × plan-config matrix: the planner variants
-	// under the default BDD backend, plus every storage backend under
-	// the default and a degraded plan. The baseline is (optimizer on,
-	// pure BDD); all variants must reproduce it bit-for-bit.
-	allOff := datalog.PlanConfig{NoReorder: true, NoPushdown: true, NoHoist: true, NoDeadOps: true}
-	explicitPlan := datalog.PlanConfig{Backend: plan.BackendExplicit}
-	autoPlan := datalog.PlanConfig{Backend: plan.BackendAuto}
-	autoAllOff := allOff
-	autoAllOff.Backend = plan.BackendAuto
-	legacyExplicit := datalog.LegacyPlan()
-	legacyExplicit.Backend = plan.BackendExplicit
+	// The baseline is the full optimizer; the pinned legacy path and
+	// every pass switched off must reproduce it bit-for-bit.
 	variants := []struct {
 		name string
 		plan datalog.PlanConfig
 	}{
 		{"legacy", datalog.LegacyPlan()},
-		{"all-off", allOff},
-		{"explicit", explicitPlan},
-		{"auto", autoPlan},
-		{"auto-all-off", autoAllOff},
-		{"legacy-explicit", legacyExplicit},
+		{"all-off", datalog.PlanConfig{NoReorder: true, NoPushdown: true, NoHoist: true, NoDeadOps: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

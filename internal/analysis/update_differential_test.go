@@ -2,12 +2,10 @@ package analysis
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"bddbddb/internal/datalog"
-	"bddbddb/internal/datalog/plan"
 	"bddbddb/internal/extract"
 	"bddbddb/internal/resilience"
 	"bddbddb/internal/synth"
@@ -16,8 +14,7 @@ import (
 // The incremental-vs-full differential matrix: for every algorithm
 // entry point (and the Section 5 queries), a random add/remove delta
 // applied to a live solver must leave the full tuple set bit-identical
-// to a from-scratch solve of the edited inputs, across all storage
-// backends. The from-scratch oracle applies the same delta through
+// to a from-scratch solve of the edited inputs. The from-scratch oracle applies the same delta through
 // Config.PreSolve — the exact semantics the live path implements.
 
 type updEntry struct {
@@ -115,68 +112,61 @@ func TestIncrementalUpdateDifferentialMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backends := []plan.BackendMode{plan.BackendAuto, plan.BackendBDD, plan.BackendExplicit}
-	if testing.Short() {
-		backends = backends[:1]
-	}
 	for _, e := range updEntries(f) {
-		for _, backend := range backends {
-			t.Run(fmt.Sprintf("%s/%v", e.name, backend), func(t *testing.T) {
-				cfg := Config{Plan: datalog.PlanConfig{Backend: backend}}
-				live, err := e.run(f, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(int64(len(e.name)) * 31))
-				d := randomUpdateDelta(live.Solver, rng)
+		t.Run(e.name, func(t *testing.T) {
+			live, err := e.run(f, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(len(e.name)) * 31))
+			d := randomUpdateDelta(live.Solver, rng)
 
-				inc, err := datalog.NewIncrementalSolver(live.Solver)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Apply as two sequential updates — adds first, then
-				// removals — which composes to the same state as the
-				// oracle's single adds-then-removes pass while forcing
-				// the add-only fast path through every algorithm's
-				// strata, not just the removal recompute path.
-				ctl := resilience.NewController(context.Background(), resilience.Budget{})
-				txnAdd, err := inc.Update(ctl, datalog.Delta{Add: d.Add})
-				if err != nil {
-					t.Fatal(err)
-				}
-				txnAdd.Commit()
-				if len(d.Remove) == 0 {
-					t.Fatal("random delta sampled no removals; enlarge the synth config")
-				}
-				txnRem, err := inc.Update(ctl, datalog.Delta{Remove: d.Remove})
-				if err != nil {
-					t.Fatal(err)
-				}
-				txnRem.Commit()
-				gotFP, err := live.Solver.ContentFingerprint()
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("adds: %+v; removes: %+v", txnAdd.Stats, txnRem.Stats)
+			inc, err := datalog.NewIncrementalSolver(live.Solver)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Apply as two sequential updates — adds first, then
+			// removals — which composes to the same state as the
+			// oracle's single adds-then-removes pass while forcing
+			// the add-only fast path through every algorithm's
+			// strata, not just the removal recompute path.
+			ctl := resilience.NewController(context.Background(), resilience.Budget{})
+			txnAdd, err := inc.Update(ctl, datalog.Delta{Add: d.Add})
+			if err != nil {
+				t.Fatal(err)
+			}
+			txnAdd.Commit()
+			if len(d.Remove) == 0 {
+				t.Fatal("random delta sampled no removals; enlarge the synth config")
+			}
+			txnRem, err := inc.Update(ctl, datalog.Delta{Remove: d.Remove})
+			if err != nil {
+				t.Fatal(err)
+			}
+			txnRem.Commit()
+			gotFP, err := live.Solver.ContentFingerprint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("adds: %+v; removes: %+v", txnAdd.Stats, txnRem.Stats)
 
-				oracleCfg := cfg
-				oracleCfg.PreSolve = func(s *datalog.Solver) error {
-					datalog.ApplyDeltaToRelations(s, d)
-					return nil
-				}
-				oracle, err := e.run(f, oracleCfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantFP, err := oracle.Solver.ContentFingerprint()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gotFP != wantFP {
-					t.Fatalf("incremental fingerprint %s != from-scratch %s", gotFP, wantFP)
-				}
-			})
-		}
+			oracleCfg := Config{}
+			oracleCfg.PreSolve = func(s *datalog.Solver) error {
+				datalog.ApplyDeltaToRelations(s, d)
+				return nil
+			}
+			oracle, err := e.run(f, oracleCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantFP, err := oracle.Solver.ContentFingerprint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotFP != wantFP {
+				t.Fatalf("incremental fingerprint %s != from-scratch %s", gotFP, wantFP)
+			}
+		})
 	}
 }
 

@@ -43,9 +43,7 @@ type compiledRule struct {
 // universe's monotone counter: the held pointer keeps the Go object
 // alive (so its address cannot be recycled) and every content mutation
 // bumps the stamp, so an equal pair later proves the source is
-// unchanged. Unlike the previous BDD-root comparison this works for
-// any storage backend, and backend migrations — which change
-// representation, not content — correctly keep the cache valid.
+// unchanged.
 type litCache struct {
 	src   *rel.Relation
 	stamp uint64

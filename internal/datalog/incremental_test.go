@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"bddbddb/internal/datalog/plan"
 	"bddbddb/internal/resilience"
 )
 
@@ -553,28 +552,4 @@ func TestLiveSolverDegradesToFullResolve(t *testing.T) {
 		t.Fatal("post-degradation update unexpectedly degraded")
 	}
 	ls.Commit()
-}
-
-func TestIncrementalExplicitBackend(t *testing.T) {
-	opts := incOpts()
-	opts.Plan.Backend = plan.BackendExplicit
-	s := newIncSolver(t, opts, incInputs())
-	inc, err := NewIncrementalSolver(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := Delta{
-		Add:    map[string][][]uint64{"vP0": {{3, 3}}},
-		Remove: map[string][][]uint64{"assign": {{5, 1}}},
-	}
-	txn, err := inc.Update(ctl(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	txn.Commit()
-	// Fingerprints bridge explicit relations through BDD form, so the
-	// explicit-backend result must equal the default-backend oracle.
-	if got, want := mustFingerprint(t, s), oracleFingerprint(t, incOpts(), incInputs(), d); got != want {
-		t.Fatalf("explicit-backend incremental %s != BDD oracle %s", got, want)
-	}
 }

@@ -23,9 +23,6 @@ type Config struct {
 	NoHoist bool
 	// NoDeadOps keeps identity Reshape entries and other no-op work.
 	NoDeadOps bool
-	// Backend selects the tuple-storage assignment policy the solver
-	// applies per stratum (see BackendMode). Zero = pure BDD.
-	Backend BackendMode
 }
 
 // Legacy is the pinned pre-refactor execution path: textual order, no

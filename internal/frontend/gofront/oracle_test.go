@@ -5,7 +5,6 @@ import (
 
 	"bddbddb/internal/analysis"
 	"bddbddb/internal/datalog"
-	"bddbddb/internal/datalog/plan"
 	"bddbddb/internal/extract"
 )
 
@@ -98,41 +97,6 @@ func TestFixturesSolveContextSensitively(t *testing.T) {
 			if len(pairsOf(r)) == 0 {
 				t.Fatal("empty context-sensitive points-to result")
 			}
-		})
-	}
-}
-
-// TestOracleBackendDifferential: on Go-derived inputs, every storage
-// backend mode must reproduce the default pure-BDD vP exactly — the
-// acceptance bar for -backend on gopointsto.
-func TestOracleBackendDifferential(t *testing.T) {
-	modes := []plan.BackendMode{plan.BackendExplicit, plan.BackendAuto}
-	for _, name := range fixtureNames(t) {
-		t.Run(name, func(t *testing.T) {
-			f := fixtureFacts(t, name)
-			base, err := analysis.RunContextInsensitive(f, true, analysis.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := pairsOf(base)
-			for _, mode := range modes {
-				r, err := analysis.RunContextInsensitive(f, true, analysis.Config{Plan: datalog.PlanConfig{Backend: mode}})
-				if err != nil {
-					t.Fatalf("%s: %v", mode, err)
-				}
-				comparePairs(t, f, pairsOf(r), want, mode.String()+"-backend", "bdd-backend")
-			}
-			// The context-sensitive pipeline must survive auto as well:
-			// context-cloned schemas stay pinned to BDD.
-			cs, err := analysis.RunContextSensitiveOnTheFly(f, analysis.Config{Plan: datalog.PlanConfig{Backend: plan.BackendAuto}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			csBase, err := analysis.RunContextSensitiveOnTheFly(f, analysis.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			comparePairs(t, f, pairsOf(cs), pairsOf(csBase), "auto-cs", "bdd-cs")
 		})
 	}
 }

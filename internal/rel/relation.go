@@ -27,18 +27,17 @@ func (u *Universe) A(attrName, domName string, inst int) Attr {
 	return Attr{Name: attrName, Dom: d, Phys: u.Phys(domName, inst)}
 }
 
-// Relation is a set of tuples over named attributes — a thin
-// schema-carrying facade over a Storage backend (BDD by default,
-// explicit rows via SetBackend). The facade validates schemas, owns
-// the mixed-backend coercion policy, and keeps a per-universe
-// modification stamp so caches can revalidate without relying on BDD
-// root canonicity. All deriving operations keep their backing storage
-// referenced; call Free when a relation is no longer needed.
+// Relation is a set of tuples over named attributes, stored as one
+// referenced BDD root over the attributes' physical domains. A
+// per-universe modification stamp identifies each content state, so
+// caches can revalidate a relation with one comparison (see Stamp).
+// All deriving operations keep their result's root referenced; call
+// Free when a relation is no longer needed.
 type Relation struct {
 	u      *Universe
 	Name   string
 	attrs  []Attr
-	store  Storage
+	root   bdd.Node
 	frozen bool
 
 	// stamp is bumped (from the universe's monotone counter) on every
@@ -49,14 +48,15 @@ type Relation struct {
 	support []int32
 }
 
-// explicitPromoteRows caps how many rows an explicit relation may hold:
-// mutating past it promotes the relation back to BDD storage. This is
-// the safety valve that keeps forced-explicit configs from
-// materializing context-cloned relations (10^10+ tuples) row by row.
-var explicitPromoteRows = big.NewInt(1 << 20)
+func newRel(u *Universe, name string, attrs []Attr, root bdd.Node) *Relation {
+	return &Relation{u: u, Name: name, attrs: attrs, root: root, stamp: u.nextStamp()}
+}
 
-func newRel(u *Universe, name string, attrs []Attr, st Storage) *Relation {
-	return &Relation{u: u, Name: name, attrs: attrs, store: st, stamp: u.nextStamp()}
+// derive wraps a freshly referenced root over r's schema.
+func (r *Relation) derive(name string, root bdd.Node) *Relation {
+	c := newRel(r.u, name, append([]Attr(nil), r.attrs...), root)
+	c.support = r.support
+	return c
 }
 
 // NewRelation creates an empty relation. Attribute names must be unique
@@ -66,14 +66,14 @@ func (u *Universe) NewRelation(name string, attrs ...Attr) *Relation {
 		panic("rel: NewRelation before Finalize")
 	}
 	checkAttrs(name, attrs)
-	return newRel(u, name, append([]Attr(nil), attrs...), newBDDStore(u, u.M.Ref(bdd.False)))
+	return newRel(u, name, append([]Attr(nil), attrs...), u.M.Ref(bdd.False))
 }
 
 // NewRelationFromBDD wraps an already-referenced BDD node as a relation;
 // the relation takes ownership of the caller's reference.
 func (u *Universe) NewRelationFromBDD(name string, root bdd.Node, attrs ...Attr) *Relation {
 	checkAttrs(name, attrs)
-	return newRel(u, name, append([]Attr(nil), attrs...), newBDDStore(u, root))
+	return newRel(u, name, append([]Attr(nil), attrs...), root)
 }
 
 func checkAttrs(name string, attrs []Attr) {
@@ -130,77 +130,23 @@ func (r *Relation) attrNames() string {
 	return strings.Join(names, ",")
 }
 
-// Backend reports which storage backend currently holds the tuples.
-func (r *Relation) Backend() Backend { return r.store.kind() }
-
 // Stamp returns the relation's modification stamp. Stamps come from a
 // per-universe monotone counter: a (relation pointer, stamp) pair seen
 // equal later proves the content is unchanged, because every mutation
-// bumps the stamp and counters are never reused. Backend migrations do
-// NOT bump the stamp — they change representation, not content.
+// bumps the stamp and counters are never reused.
 func (r *Relation) Stamp() uint64 { return r.stamp }
 
 func (r *Relation) touch() { r.stamp = r.u.nextStamp() }
 
-// SetBackend converts the relation's tuple storage in place and
-// reports whether a conversion happened. Frozen relations (pinned to
-// BDD for the serving layer) and nullary schemas never migrate.
-func (r *Relation) SetBackend(b Backend) bool {
-	if r.frozen || len(r.attrs) == 0 || r.store.kind() == b {
-		return false
-	}
-	var ns Storage
-	switch b {
-	case BDD:
-		ns = r.store.toBDD(r.attrs)
-		r.u.bstats.MigrationsToBDD++
-	case Explicit:
-		ns = r.store.toExplicit(r.attrs, r.supportVars())
-		r.u.bstats.MigrationsToExplicit++
-	default:
-		panic(fmt.Sprintf("rel: SetBackend(%v)", b))
-	}
-	r.store.free()
-	r.store = ns
-	return true
-}
-
 // Root exposes the underlying BDD node (still owned by the relation).
-// It panics for explicit-backed relations; use BDDRoot to materialize.
-func (r *Relation) Root() bdd.Node {
-	bs, ok := r.store.(*bddStore)
-	if !ok {
-		panic(fmt.Sprintf("rel: Root of %s: stored in %s backend (use BDDRoot)", r.Name, r.store.kind()))
-	}
-	return bs.root
-}
-
-// BDDRoot returns the relation's tuples as a BDD root plus a release
-// function. BDD-backed relations return their live root (still owned
-// by the relation) with a no-op release; explicit-backed relations
-// materialize a temporary that the release frees. Checkpointing uses
-// this to dump mixed-backend solver state as plain BDD DAGs.
-func (r *Relation) BDDRoot() (bdd.Node, func()) {
-	if bs, ok := r.store.(*bddStore); ok {
-		return bs.root, func() {}
-	}
-	t := r.store.toBDD(r.attrs)
-	return t.root, func() { t.free() }
-}
+func (r *Relation) Root() bdd.Node { return r.root }
 
 // Freeze marks the relation immutable: AddTuple, UnionWith, and Free
 // panic afterwards. Deriving operations (Join, SelectEq, ...) stay
 // legal — they allocate new relations and never touch the receiver.
 // The serving layer freezes solved relations before handing them to
-// concurrent query evaluation and snapshots them by BDD root, so
-// Freeze first pins the relation to the BDD backend; frozen relations
-// never migrate. There is no Unfreeze.
-func (r *Relation) Freeze() {
-	if r.store.kind() != BDD {
-		r.SetBackend(BDD)
-	}
-	r.frozen = true
-}
+// concurrent query evaluation; there is no Unfreeze.
+func (r *Relation) Freeze() { r.frozen = true }
 
 // Frozen reports whether Freeze was called.
 func (r *Relation) Frozen() bool { return r.frozen }
@@ -211,57 +157,33 @@ func (r *Relation) requireMutable(op string) {
 	}
 }
 
-// Free releases the relation's storage. The relation must not be used
-// afterwards.
+// Free releases the relation's BDD reference. The relation must not be
+// used afterwards.
 func (r *Relation) Free() {
 	r.requireMutable("Free")
-	r.store.free()
+	r.u.M.Deref(r.root)
+	r.root = bdd.False
 	r.attrs = nil
 	r.support = nil
 }
 
 // Clone returns an independent copy sharing the same tuples.
 func (r *Relation) Clone(name string) *Relation {
-	c := newRel(r.u, name, append([]Attr(nil), r.attrs...), r.store.clone())
-	c.support = r.support
-	return c
+	return r.derive(name, r.u.M.Ref(r.root))
 }
 
-// coerced returns r's tuple storage in kind b plus a release function
-// for any temporary the bridge materialized. Same-kind calls borrow
-// the live storage with a no-op release.
-func (r *Relation) coerced(b Backend) (Storage, func()) {
-	if r.store.kind() == b {
-		return r.store, func() {}
+// tupleCube builds the conjunction selecting exactly one tuple.
+func tupleCube(u *Universe, attrs []Attr, vals []uint64) bdd.Node {
+	m := u.M
+	cube := m.Ref(bdd.True)
+	for i, a := range attrs {
+		eq := a.Phys.Eq(vals[i])
+		next := m.And(cube, eq)
+		m.Deref(cube)
+		m.Deref(eq)
+		cube = next
 	}
-	var t Storage
-	if b == BDD {
-		t = r.store.toBDD(r.attrs)
-	} else {
-		t = r.store.toExplicit(r.attrs, r.supportVars())
-	}
-	return t, t.free
-}
-
-// binKind picks the backend a mixed binary op runs on: both-explicit
-// stays explicit, otherwise BDD. The adaptive selection keeps explicit
-// relations small, so the explicit side is always the cheap one to
-// bridge.
-func binKind(r, o *Relation) Backend {
-	if r.store.kind() == Explicit && o.store.kind() == Explicit {
-		return Explicit
-	}
-	return BDD
-}
-
-// permOf maps a's attribute positions to b's: perm[i] is the index in
-// b of a[i]'s attribute. Schemas must already be validated equal.
-func permOf(a, b []Attr) []int {
-	perm := make([]int, len(a))
-	for i := range a {
-		perm[i] = attrIndex(b, a[i].Name)
-	}
-	return perm
+	return cube
 }
 
 // AddTuple inserts one tuple, with values listed in attribute order.
@@ -276,7 +198,12 @@ func (r *Relation) AddTuple(vals ...uint64) {
 				vals[i], a.Dom.Name, a.Dom.Size, r.Name, a.Name))
 		}
 	}
-	r.store.addTuple(r.attrs, vals)
+	m := r.u.M
+	cube := tupleCube(r.u, r.attrs, vals)
+	next := m.Or(r.root, cube)
+	m.Deref(r.root)
+	m.Deref(cube)
+	r.root = next
 	r.touch()
 }
 
@@ -305,22 +232,11 @@ func (r *Relation) requireSameSchema(o *Relation, op string) {
 func (r *Relation) UnionWith(o *Relation) bool {
 	r.requireMutable("UnionWith")
 	r.requireSameSchema(o, "union")
-	if o.store.isEmpty() {
-		return false
-	}
-	if r.store.kind() == Explicit {
-		// Growth valve: rather than materialize a huge operand into
-		// rows, promote the receiver back to BDD past the cap.
-		n := new(big.Int).Add(r.Size(), o.Size())
-		if n.Cmp(explicitPromoteRows) > 0 {
-			r.SetBackend(BDD)
-		}
-	}
-	k := r.store.kind()
-	os, release := o.coerced(k)
-	changed := r.store.unionWith(os, permOf(r.attrs, o.attrs))
-	release()
-	r.u.noteOp(k)
+	m := r.u.M
+	next := m.Or(r.root, o.root)
+	changed := next != r.root
+	m.Deref(r.root)
+	r.root = next
 	if changed {
 		r.touch()
 	}
@@ -330,38 +246,13 @@ func (r *Relation) UnionWith(o *Relation) bool {
 // Union returns a new relation with the tuples of both operands.
 func (r *Relation) Union(name string, o *Relation) *Relation {
 	r.requireSameSchema(o, "union")
-	if o.store.isEmpty() {
-		return r.Clone(name)
-	}
-	k := binKind(r, o)
-	rs, rrel := r.coerced(k)
-	os, orel := o.coerced(k)
-	st := rs.union(os, permOf(r.attrs, o.attrs))
-	rrel()
-	orel()
-	r.u.noteOp(k)
-	return newRel(r.u, name, append([]Attr(nil), r.attrs...), st)
+	return r.derive(name, r.u.M.Or(r.root, o.root))
 }
 
 // Minus returns the tuples of r that are not in o.
 func (r *Relation) Minus(name string, o *Relation) *Relation {
 	r.requireSameSchema(o, "difference")
-	// Empty operands make the result r itself (or empty, which a clone
-	// of empty r also is) — skip the cross-backend coercion a mixed
-	// pair would otherwise pay. Empty rule results against large heads
-	// are the common case in converging fixpoint iterations.
-	if r.store.isEmpty() || o.store.isEmpty() {
-		c := r.Clone(name)
-		return c
-	}
-	k := binKind(r, o)
-	rs, rrel := r.coerced(k)
-	os, orel := o.coerced(k)
-	st := rs.minus(os, permOf(r.attrs, o.attrs))
-	rrel()
-	orel()
-	r.u.noteOp(k)
-	return newRel(r.u, name, append([]Attr(nil), r.attrs...), st)
+	return r.derive(name, r.u.M.Diff(r.root, o.root))
 }
 
 // joinAttrs computes the result schema of a natural join and validates
@@ -391,28 +282,35 @@ func joinAttrs(a, b *Relation, op string) (shared []string, result []Attr) {
 }
 
 // Join returns the natural join of r and o on their shared attribute
-// names.
+// names (a BDD AND once aligned).
 func (r *Relation) Join(name string, o *Relation) *Relation {
-	return r.joinProjectOp(name, o, nil)
+	return r.JoinProject(name, o)
 }
 
 // JoinProject joins r and o and projects away the named attributes in
-// one pass (a BDD relprod, or an explicit hash join) — the workhorse
-// of rule application.
+// one BDD relprod (AndExist) pass — the workhorse of rule application.
 func (r *Relation) JoinProject(name string, o *Relation, drop ...string) *Relation {
-	return r.joinProjectOp(name, o, drop)
-}
-
-func (r *Relation) joinProjectOp(name string, o *Relation, drop []string) *Relation {
 	_, attrs := joinAttrs(r, o, "join")
 	for _, d := range drop {
 		if attrIndex(attrs, d) < 0 {
 			panic(fmt.Sprintf("rel: JoinProject drops unknown attribute %q", d))
 		}
 	}
-	spec := &joinSpec{lArity: len(r.attrs), rArity: len(o.attrs)}
-	var keep []Attr
-	for pos, a := range attrs {
+	keep, dropLevels := splitDropped(attrs, drop)
+	m := r.u.M
+	if len(dropLevels) == 0 {
+		return newRel(r.u, name, keep, m.And(r.root, o.root))
+	}
+	vs := m.MakeSet(dropLevels)
+	root := m.AndExist(r.root, o.root, vs)
+	m.Deref(vs)
+	return newRel(r.u, name, keep, root)
+}
+
+// splitDropped partitions attrs into the ones kept and the BDD levels
+// of the ones named in drop.
+func splitDropped(attrs []Attr, drop []string) (keep []Attr, dropLevels []int32) {
+	for _, a := range attrs {
 		dropped := false
 		for _, d := range drop {
 			if a.Name == d {
@@ -421,44 +319,12 @@ func (r *Relation) joinProjectOp(name string, o *Relation, drop []string) *Relat
 			}
 		}
 		if dropped {
-			spec.dropLevels = append(spec.dropLevels, a.Phys.Levels()...)
-			continue
-		}
-		keep = append(keep, a)
-		if pos < len(r.attrs) {
-			spec.out = append(spec.out, srcCol{col: pos})
+			dropLevels = append(dropLevels, a.Phys.Levels()...)
 		} else {
-			spec.out = append(spec.out, srcCol{right: true, col: attrIndex(o.attrs, a.Name)})
+			keep = append(keep, a)
 		}
 	}
-	for j, b := range o.attrs {
-		if i := attrIndex(r.attrs, b.Name); i >= 0 {
-			spec.shared = append(spec.shared, [2]int{i, j})
-		}
-	}
-	k := binKind(r, o)
-	if len(keep) == 0 {
-		k = BDD // nullary results stay BDD-backed
-	}
-	rs, rrel := r.coerced(k)
-	os, orel := o.coerced(k)
-	st := rs.joinProject(os, spec)
-	if st == nil {
-		// The explicit join overflowed explicitJoinFallbackRows: the
-		// result is dense enough that rows are the wrong shape for it.
-		// Re-run on BDD operands — the operands themselves are small
-		// (they fit explicit storage), only the product is big.
-		rrel()
-		orel()
-		k = BDD
-		rs, rrel = r.coerced(k)
-		os, orel = o.coerced(k)
-		st = rs.joinProject(os, spec)
-	}
-	rrel()
-	orel()
-	r.u.noteOp(k)
-	return newRel(r.u, name, keep, st)
+	return keep, dropLevels
 }
 
 // ProjectOut removes the named attributes (existential quantification).
@@ -468,57 +334,22 @@ func (r *Relation) ProjectOut(name string, drop ...string) *Relation {
 			panic(fmt.Sprintf("rel: ProjectOut of unknown attribute %q from %s", d, r.Name))
 		}
 	}
-	var keep []Attr
-	spec := &projSpec{}
-	for i, a := range r.attrs {
-		dropped := false
-		for _, d := range drop {
-			if a.Name == d {
-				dropped = true
-				break
-			}
-		}
-		if dropped {
-			spec.dropLevels = append(spec.dropLevels, a.Phys.Levels()...)
-		} else {
-			keep = append(keep, a)
-			spec.keepCols = append(spec.keepCols, i)
-		}
-	}
-	k := r.store.kind()
-	if len(keep) == 0 {
-		k = BDD // nullary results stay BDD-backed
-	}
-	rs, rrel := r.coerced(k)
-	st := rs.projectOut(spec)
-	rrel()
-	r.u.noteOp(k)
-	return newRel(r.u, name, keep, st)
+	keep, dropLevels := splitDropped(r.attrs, drop)
+	m := r.u.M
+	vs := m.MakeSet(dropLevels)
+	root := m.Exist(r.root, vs)
+	m.Deref(vs)
+	return newRel(r.u, name, keep, root)
 }
 
 // Rename returns r with some attributes rebound to different physical
-// instances (one BDD replace; metadata-only for explicit rows). The
-// map keys are attribute names.
+// instances (one BDD replace). The map keys are attribute names.
 func (r *Relation) Rename(name string, moves map[string]*bdd.Domain) *Relation {
-	for n := range moves {
-		if !r.HasAttr(n) {
-			panic(fmt.Sprintf("rel: Rename of unknown attribute %q in %s", n, r.Name))
-		}
+	spec := make(map[string]Remap, len(moves))
+	for n, to := range moves {
+		spec[n] = Remap{NewPhys: to}
 	}
-	attrs := append([]Attr(nil), r.attrs...)
-	spec := &rebindSpec{}
-	for i := range attrs {
-		to, ok := moves[attrs[i].Name]
-		if !ok || to == attrs[i].Phys {
-			continue
-		}
-		spec.moves = append(spec.moves, physMove{from: attrs[i].Phys, to: to})
-		attrs[i].Phys = to
-	}
-	checkAttrs(name, attrs)
-	st := r.store.rebind(spec)
-	r.u.noteOp(r.store.kind())
-	return newRel(r.u, name, attrs, st)
+	return r.remap(name, spec, "Rename")
 }
 
 // RenameAttr returns r with one attribute renamed (metadata only; the
@@ -536,7 +367,7 @@ func (r *Relation) RenameAttr(name, oldAttr, newAttr string) *Relation {
 		panic(fmt.Sprintf("rel: RenameAttr of unknown attribute %q in %s", oldAttr, r.Name))
 	}
 	checkAttrs(name, attrs)
-	c := newRel(r.u, name, attrs, r.store.clone())
+	c := newRel(r.u, name, attrs, r.u.M.Ref(r.root))
 	c.support = r.support
 	return c
 }
@@ -552,24 +383,27 @@ func (r *Relation) SelectEq(name, attr string, val uint64) *Relation {
 	if val >= a.Dom.Size {
 		panic(fmt.Sprintf("rel: SelectEq value %d outside domain %s", val, a.Dom.Name))
 	}
-	st := r.store.selectEq(&selSpec{phys: a.Phys, col: i, val: val})
-	r.u.noteOp(r.store.kind())
-	c := newRel(r.u, name, append([]Attr(nil), r.attrs...), st)
-	c.support = r.support
-	return c
+	m := r.u.M
+	eq := a.Phys.Eq(val)
+	root := m.And(r.root, eq)
+	m.Deref(eq)
+	return r.derive(name, root)
 }
 
 // Complement returns the tuples over the attributes' domains that are
 // NOT in r — negation relative to the finite universe of the schema,
-// used by stratified Datalog negation. Explicit-backed relations with
-// a schema volume past the enumeration cap negate through the BDD
-// backend, so the result's backend may differ from the receiver's.
+// used by stratified Datalog negation.
 func (r *Relation) Complement(name string) *Relation {
-	st := r.store.complement(r.attrs)
-	r.u.noteOp(st.kind())
-	c := newRel(r.u, name, append([]Attr(nil), r.attrs...), st)
-	c.support = r.support
-	return c
+	m := r.u.M
+	root := m.Not(r.root)
+	for _, a := range r.attrs {
+		c := a.Phys.DomainConstraint()
+		next := m.And(root, c)
+		m.Deref(root)
+		m.Deref(c)
+		root = next
+	}
+	return r.derive(name, root)
 }
 
 // SameSchemaAs reports whether both relations bind the same attribute
@@ -577,31 +411,24 @@ func (r *Relation) Complement(name string) *Relation {
 func (r *Relation) SameSchemaAs(o *Relation) bool { return r.sameSchema(o) }
 
 // IsEmpty reports whether the relation has no tuples.
-func (r *Relation) IsEmpty() bool { return r.store.isEmpty() }
+func (r *Relation) IsEmpty() bool { return r.root == bdd.False }
 
 // SameTuples reports whether two relations over the same schema hold
-// exactly the same tuples (constant time when both are BDD-backed:
-// BDDs are canonical).
+// exactly the same tuples (constant time: BDDs are canonical).
 func (r *Relation) SameTuples(o *Relation) bool {
 	r.requireSameSchema(o, "comparison")
-	k := binKind(r, o)
-	rs, rrel := r.coerced(k)
-	os, orel := o.coerced(k)
-	eq := rs.sameTuples(os, permOf(r.attrs, o.attrs))
-	rrel()
-	orel()
-	return eq
+	return r.root == o.root
 }
 
 // Size returns the exact tuple count.
 func (r *Relation) Size() *big.Int {
 	if len(r.attrs) == 0 {
-		if r.store.(*bddStore).root == bdd.True {
+		if r.root == bdd.True {
 			return big.NewInt(1)
 		}
 		return big.NewInt(0)
 	}
-	return r.store.size(r.attrs, r.supportVars())
+	return r.u.M.SatCountIn(r.root, r.supportVars())
 }
 
 // SizeFloat returns the tuple count as a float64 — the lossy form the
@@ -624,16 +451,23 @@ func (r *Relation) supportVars() []int32 {
 }
 
 // Iterate calls fn for every tuple (values in attribute order) until it
-// returns false. Enumeration order is deterministic per backend (BDD
-// variable order for BDD storage, lexicographic for explicit rows).
+// returns false. Enumeration follows the BDD variable order, so it is
+// deterministic for a given universe.
 func (r *Relation) Iterate(fn func(vals []uint64) bool) {
 	if len(r.attrs) == 0 {
-		if r.store.(*bddStore).root == bdd.True {
+		if r.root == bdd.True {
 			fn(nil)
 		}
 		return
 	}
-	r.store.iterate(r.attrs, r.supportVars(), fn)
+	support := r.supportVars()
+	vals := make([]uint64, len(r.attrs))
+	r.u.M.AllSat(r.root, support, func(bits []bool) bool {
+		for i, a := range r.attrs {
+			vals[i] = a.Phys.Value(support, bits)
+		}
+		return fn(vals)
+	})
 }
 
 // Tuples materializes the relation as a slice (tests and small outputs
@@ -644,8 +478,9 @@ func (r *Relation) Tuples() [][]uint64 {
 		out = append(out, append([]uint64(nil), vals...))
 		return true
 	})
-	// Iterate yields representation order (BDD variable order vs sorted
-	// rows); sort so dumps and APIs read identically across backends.
+	// Iterate yields BDD variable order, which depends on the physical
+	// bindings; sort so dumps and APIs read identically whatever the
+	// variable order.
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		for k := range a {

@@ -13,24 +13,34 @@ type Remap struct {
 }
 
 // Reshape renames and physically rebinds several attributes in one BDD
-// replace pass (metadata-only for explicit rows). Keys of spec are
-// current attribute names; attributes not mentioned are unchanged. The
-// combined physical move must be injective.
+// replace pass. Keys of spec are current attribute names; attributes
+// not mentioned are unchanged. The combined physical move must be
+// injective.
 func (r *Relation) Reshape(name string, spec map[string]Remap) *Relation {
+	return r.remap(name, spec, "Reshape")
+}
+
+// remap is the body of Reshape and Rename; op names the caller in
+// panics.
+func (r *Relation) remap(name string, spec map[string]Remap, op string) *Relation {
 	for n := range spec {
 		if !r.HasAttr(n) {
-			panic(fmt.Sprintf("rel: Reshape of unknown attribute %q in %s", n, r.Name))
+			panic(fmt.Sprintf("rel: %s of unknown attribute %q in %s", op, n, r.Name))
 		}
 	}
+	m := r.u.M
 	attrs := append([]Attr(nil), r.attrs...)
-	rb := &rebindSpec{}
+	var p *bdd.Pair
 	for i := range attrs {
 		mv, ok := spec[attrs[i].Name]
 		if !ok {
 			continue
 		}
 		if mv.NewPhys != nil && mv.NewPhys != attrs[i].Phys {
-			rb.moves = append(rb.moves, physMove{from: attrs[i].Phys, to: mv.NewPhys})
+			if p == nil {
+				p = m.NewPair()
+			}
+			p.SetDomains(attrs[i].Phys, mv.NewPhys)
 			attrs[i].Phys = mv.NewPhys
 		}
 		if mv.NewName != "" {
@@ -38,39 +48,35 @@ func (r *Relation) Reshape(name string, spec map[string]Remap) *Relation {
 		}
 	}
 	checkAttrs(name, attrs)
-	st := r.store.rebind(rb)
-	r.u.noteOp(r.store.kind())
-	return newRel(r.u, name, attrs, st)
+	if p == nil {
+		return newRel(r.u, name, attrs, m.Ref(r.root))
+	}
+	return newRel(r.u, name, attrs, m.Replace(r.root, p))
 }
 
 // SelectEqualAttrs keeps the tuples where two same-domain attributes are
-// equal. For BDD storage the attributes' physical instances must be
-// interleaved in the variable order (instances of one logical domain
-// always are); explicit rows compare columns directly.
+// equal. The attributes' physical instances must be interleaved in the
+// variable order (instances of one logical domain always are).
 func (r *Relation) SelectEqualAttrs(name, attr1, attr2 string) *Relation {
-	i1, i2 := attrIndex(r.attrs, attr1), attrIndex(r.attrs, attr2)
-	if i1 < 0 {
-		panic(fmt.Sprintf("rel: relation %s has no attribute %q (has %s)", r.Name, attr1, r.attrNames()))
-	}
-	if i2 < 0 {
-		panic(fmt.Sprintf("rel: relation %s has no attribute %q (has %s)", r.Name, attr2, r.attrNames()))
-	}
-	a1, a2 := r.attrs[i1], r.attrs[i2]
+	a1, a2 := r.Attr(attr1), r.Attr(attr2)
 	if a1.Dom != a2.Dom {
 		panic(fmt.Sprintf("rel: SelectEqualAttrs across domains %s and %s", a1.Dom.Name, a2.Dom.Name))
 	}
-	st := r.store.selectEqualAttrs(&eqSpec{p1: a1.Phys, p2: a2.Phys, c1: i1, c2: i2})
-	r.u.noteOp(r.store.kind())
-	c := newRel(r.u, name, append([]Attr(nil), r.attrs...), st)
-	c.support = r.support
-	return c
+	m := r.u.M
+	eq, err := m.Equals(a1.Phys, a2.Phys)
+	if err != nil {
+		panic(fmt.Sprintf("rel: SelectEqualAttrs(%s,%s): %v", a1.Phys.Name, a2.Phys.Name, err))
+	}
+	root := m.And(r.root, eq)
+	m.Deref(eq)
+	return r.derive(name, root)
 }
 
 // FullDomain returns the unary relation holding every element of the
 // attribute's domain — used to bind otherwise-unconstrained variables.
 func (u *Universe) FullDomain(name string, attr Attr) *Relation {
 	root := attr.Phys.DomainConstraint()
-	return newRel(u, name, []Attr{attr}, newBDDStore(u, root))
+	return newRel(u, name, []Attr{attr}, root)
 }
 
 // Singleton returns the unary relation {val} over the attribute.
@@ -79,5 +85,5 @@ func (u *Universe) Singleton(name string, attr Attr, val uint64) *Relation {
 		panic(fmt.Sprintf("rel: singleton %d outside domain %s", val, attr.Dom.Name))
 	}
 	root := attr.Phys.Eq(val)
-	return newRel(u, name, []Attr{attr}, newBDDStore(u, root))
+	return newRel(u, name, []Attr{attr}, root)
 }

@@ -74,26 +74,12 @@ type Universe struct {
 	// stampc is the monotone modification-stamp counter relations draw
 	// from (see Relation.Stamp). Single-threaded like the BDD manager.
 	stampc uint64
-	// bstats accumulates backend op/bridge/migration counts.
-	bstats BackendStats
 }
 
 func (u *Universe) nextStamp() uint64 {
 	u.stampc++
 	return u.stampc
 }
-
-func (u *Universe) noteOp(k Backend) {
-	if k == Explicit {
-		u.bstats.OpsExplicit++
-	} else {
-		u.bstats.OpsBDD++
-	}
-}
-
-// BackendStats returns a snapshot of the universe's backend activity
-// counters.
-func (u *Universe) BackendStats() BackendStats { return u.bstats }
 
 // NewUniverse creates an empty universe.
 func NewUniverse() *Universe {
