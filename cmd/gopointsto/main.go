@@ -63,7 +63,6 @@ import (
 
 	"bddbddb/internal/analysis"
 	"bddbddb/internal/callgraph"
-	"bddbddb/internal/datalog"
 	"bddbddb/internal/extract"
 	"bddbddb/internal/frontend/gofront"
 	"bddbddb/internal/obs"
@@ -80,7 +79,6 @@ func main() {
 	entries := flag.String("entries", "auto", "analysis roots: auto|main|exported|all")
 	report := flag.String("report", "", "comma-separated reports: nil,escape,precision")
 	varName := flag.String("var", "", "print the points-to set of this variable (Class.method/v)")
-	noOpt := flag.Bool("noopt", false, "disable the Datalog plan optimizer (pinned textual-order execution)")
 	benchOut := flag.String("bench-out", "", "write lowering+solve metrics JSON to this file")
 	var oflags obs.Flags
 	oflags.Register(flag.CommandLine)
@@ -98,7 +96,7 @@ func main() {
 		os.Exit(1)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	runErr := run(ctx, sess, rflags, flag.Args(), *algo, *entries, *report, *varName, *noOpt, *benchOut)
+	runErr := run(ctx, sess, rflags, flag.Args(), *algo, *entries, *report, *varName, *benchOut)
 	stop()
 	if err := sess.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "gopointsto:", err)
@@ -110,7 +108,7 @@ func main() {
 }
 
 func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags,
-	patterns []string, algo, entries, report, varName string, noOpt bool, benchOut string) error {
+	patterns []string, algo, entries, report, varName, benchOut string) error {
 	tr := sess.Tracer
 	reports := make(map[string]bool)
 	for _, r := range strings.Split(report, ",") {
@@ -141,9 +139,6 @@ func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags,
 		Tracer: tr, Metrics: sess.Metrics,
 		Context: ctx, Budget: rflags.Budget(),
 		CheckpointDir: rflags.CheckpointDir, Resume: rflags.Resume,
-	}
-	if noOpt {
-		cfg.Plan = datalog.LegacyPlan()
 	}
 	var r *analysis.Result
 	obs.Begin(tr, "gopointsto.analyze", obs.A("algo", algo))

@@ -485,19 +485,6 @@ class Main {
 	}
 }
 
-func TestAblationNoIncrementalizationSameResult(t *testing.T) {
-	f := facts(t, dispatchSrc)
-	a, err := RunOnTheFly(f, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunOnTheFly(f, Config{NoIncrementalization: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	samePairs(t, vpOf(t, b), vpOf(t, a), "no-incrementalization ablation")
-}
-
 func TestCustomOrderSameResult(t *testing.T) {
 	f := facts(t, polySrc)
 	a, err := RunContextSensitive(f, nil, Config{})

@@ -41,13 +41,6 @@ type Config struct {
 	HeapContextLimit uint64
 	// ExtraSrc appends query fragments (Section 5) to the program.
 	ExtraSrc string
-	// NoIncrementalization disables semi-naive evaluation (ablation).
-	NoIncrementalization bool
-	// Plan configures the solver's rule planner (join reordering,
-	// projection push-down, normalization hoisting, dead-op
-	// elimination). The zero value runs the full optimizer;
-	// datalog.LegacyPlan() pins the pre-planner execution path.
-	Plan datalog.PlanConfig
 	// Context cancels the run cooperatively: every Run* entry point
 	// polls it throughout the pipeline (BDD operations included) and
 	// returns a resilience.CancelError once it is done. Nil means
@@ -121,7 +114,7 @@ func (c Config) checkpointOpts(opts *datalog.Options) {
 func (c Config) auxConfig() Config {
 	return Config{
 		NodeSize: c.NodeSize, CacheSize: c.CacheSize,
-		Plan: c.Plan, Tracer: c.Tracer, Metrics: c.Metrics,
+		Tracer: c.Tracer, Metrics: c.Metrics,
 		Context: c.Context, Budget: c.Budget, ctl: c.ctl,
 	}
 }
@@ -201,11 +194,9 @@ func baseOptions(f *extract.Facts, cfg Config, order []string) datalog.Options {
 			"N": f.Names,
 			"M": f.Methods,
 		},
-		NoIncrementalization: cfg.NoIncrementalization,
-		Plan:                 cfg.Plan,
-		Tracer:               cfg.Tracer,
-		Metrics:              cfg.Metrics,
-		Control:              cfg.ctl,
+		Tracer:  cfg.Tracer,
+		Metrics: cfg.Metrics,
+		Control: cfg.ctl,
 	}
 }
 

@@ -53,7 +53,6 @@ func (s *Solver) fingerprint() string {
 	for _, r := range s.prog.Rules {
 		fmt.Fprintf(h, "rule:%s\n", r)
 	}
-	fmt.Fprintf(h, "noinc:%v\n", s.opts.NoIncrementalization)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

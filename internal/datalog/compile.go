@@ -16,10 +16,11 @@ import (
 type compiledRule struct {
 	rule *Rule
 	// naive is the lowered plan in canonical literal order (positives
-	// textual, then negatives) with identity join order — it reproduces
-	// the historical executor and is the "before" side of -explain.
+	// textual, then negatives) with identity join order — the "before"
+	// side of -explain, and the input every optimized variant is
+	// planned from.
 	naive *plan.Plan
-	// plans holds the variants solveStratum plans against live
+	// plans holds the variants planStratum builds against live
 	// cardinalities: key -1 is the base (no delta) variant, key i the
 	// semi-naive variant reading the delta at canonical position i.
 	plans map[int]*plan.Plan
@@ -87,19 +88,6 @@ func (cr *compiledRule) releaseHelpers(m *bdd.Manager) {
 		r.Free()
 	}
 	cr.full, cr.singles, cr.dups = nil, nil, nil
-}
-
-// orderHasFreedom reports whether the greedy planner can actually move
-// anything: after the delta (or anchor) literal is pinned first, at
-// least two positive literals must remain to permute.
-func (cr *compiledRule) orderHasFreedom() bool {
-	n := 0
-	for i := range cr.naive.Lits {
-		if !cr.naive.Lits[i].Negated {
-			n++
-		}
-	}
-	return n >= 3
 }
 
 // recursivePositions lists the canonical body positions that read
@@ -211,9 +199,9 @@ func (s *Solver) compileRule(rule *Rule, asn map[string]int) (*compiledRule, err
 	p := &plan.Plan{Rule: rule.String(), Head: rule.Head.Pred, DeltaPos: -1}
 
 	// Body literals: lower each to its normalization pipeline. The
-	// lowering keeps identity Reshape entries on purpose — the pinned
-	// legacy configuration must reproduce the historical executor,
-	// which applied them; Optimize prunes them as dead ops.
+	// lowering keeps identity Reshape entries on purpose — the canonical
+	// "before" plan of -explain shows every attribute's placement;
+	// Optimize prunes them as dead ops.
 	lits := orderedLiterals(rule)
 	for _, lit := range lits {
 		decl := prog.Relation(lit.Atom.Pred)

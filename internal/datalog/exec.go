@@ -136,7 +136,7 @@ func (s *Solver) evalLit(cr *compiledRule, p *plan.Plan, idx int, delta *rel.Rel
 		// No normalization needed: reference the source without copying.
 		return src, false
 	}
-	if l.Delta() || s.opts.Plan.NoHoist {
+	if l.Delta() {
 		return s.runPipeline(l, src), true
 	}
 	c := cr.cache[idx]

@@ -25,13 +25,13 @@ import (
 // (negation-free w.r.t. the change) strata take the fast path: the
 // gained tuples of every changed predicate seed one delta pass per
 // reading body position — the same plan.WithDelta variants the fixpoint
-// loop uses — and the stratum then iterates its own semi-naive loop
-// from the freshly derived frontier. Deletions, and strata that negate
-// a changed predicate, fall back to re-solving the whole stratum from
-// its fact baseline (correctness over cleverness, as the checkpoint
-// machinery does); the recompute's head diff is classified again, so
-// downstream strata whose effective change turns out to be add-only
-// still take the fast path.
+// loop uses — and the stratum then runs Solve's own semi-naive loop
+// (Solver.fixpoint) from the freshly derived frontier. Deletions, and
+// strata that negate a changed predicate, fall back to re-solving the
+// whole stratum from its fact baseline (correctness over cleverness,
+// as the checkpoint machinery does); the recompute's head diff is
+// classified again, so downstream strata whose effective change turns
+// out to be add-only still take the fast path.
 //
 // Every update is transactional: the pre-update value of each relation
 // the delta can reach is cloned up front, and any failure — validation,
@@ -558,7 +558,7 @@ func (inc *IncrementalSolver) Update(ctl *resilience.Controller, d Delta) (*Upda
 				continue
 			}
 			txn.Stats.StrataResolved++
-			fast := !s.opts.NoIncrementalization
+			fast := true
 			for _, rule := range st.rules {
 				if rule.IsFact() {
 					continue
@@ -578,7 +578,7 @@ func (inc *IncrementalSolver) Update(ctl *resilience.Controller, d Delta) (*Upda
 				}
 			}
 			if fast {
-				if err := inc.propagateStratum(st, changedAdd); err != nil {
+				if err := inc.propagateStratum(i, st, changedAdd); err != nil {
 					return err
 				}
 				txn.Stats.StrataFast++
@@ -626,102 +626,30 @@ func (inc *IncrementalSolver) Update(ctl *resilience.Controller, d Delta) (*Upda
 // changes because semi-naive evaluation is exactly this delta algebra:
 // any new derivation uses at least one gained tuple somewhere, and the
 // pass for that position (or a later frontier iteration) fires it.
-func (inc *IncrementalSolver) propagateStratum(st *stratum, changedAdd map[string]*rel.Relation) error {
+func (inc *IncrementalSolver) propagateStratum(idx int, st *stratum, changedAdd map[string]*rel.Relation) error {
 	s := inc.s
 	s.opts.Control.Check()
-	inStratum := make(map[string]bool)
-	for _, p := range st.preds {
-		inStratum[p] = true
-	}
-	var rules []*compiledRule
-	for _, rule := range st.rules {
-		if rule.IsFact() {
-			continue
-		}
-		rules = append(rules, s.compiled[rule])
-	}
-	card := s.cardFn()
-	for _, cr := range rules {
-		s.planRule(cr, inStratum, card)
-	}
-	defer func() {
-		for _, cr := range rules {
-			cr.clearCaches(s.u.M)
-		}
-	}()
-	// Phase A: one delta pass per (rule, changed outside position).
+	ev := s.planStratum(st)
+	defer ev.release(s.u.M)
 	delta := make(map[string]*rel.Relation)
-	for _, cr := range rules {
-		head := s.rels[cr.rule.Head.Pred]
+	for _, cr := range ev.rules {
 		for pos := range cr.naive.Lits {
 			l := &cr.naive.Lits[pos]
-			if l.Negated || inStratum[l.Pred] {
+			if l.Negated || ev.inStratum[l.Pred] {
 				continue
 			}
-			g := changedAdd[l.Pred]
-			if g == nil || g.IsEmpty() {
-				continue
-			}
-			p := plan.Optimize(cr.naive.WithDelta(pos), s.opts.Plan, card)
-			res := s.execPlan(cr, p, g)
-			fresh := res.Minus("fresh", head)
-			res.Free()
-			if fresh.IsEmpty() {
-				fresh.Free()
-				continue
-			}
-			s.countDelta(cr.rule, fresh)
-			head.UnionWith(fresh)
-			if d := delta[cr.rule.Head.Pred]; d == nil {
-				delta[cr.rule.Head.Pred] = fresh
-			} else {
-				d.UnionWith(fresh)
-				fresh.Free()
+			if g := changedAdd[l.Pred]; g != nil && !g.IsEmpty() {
+				s.derive(cr, plan.Optimize(cr.naive.WithDelta(pos), ev.card), g, delta)
 			}
 		}
 	}
-	// Phase B: the stratum's own semi-naive loop, seeded by phase A.
-	var recur []*compiledRule
-	for _, cr := range rules {
-		if len(cr.recursivePositions(inStratum)) > 0 {
-			recur = append(recur, cr)
-		}
-	}
-	for len(delta) > 0 {
-		s.cIters.Inc()
-		s.opts.Control.AddIteration()
-		newDelta := make(map[string]*rel.Relation)
-		for _, cr := range recur {
-			head := s.rels[cr.rule.Head.Pred]
-			for _, pos := range cr.recursivePositions(inStratum) {
-				d := delta[cr.naive.Lits[pos].Pred]
-				if d == nil || d.IsEmpty() {
-					continue
-				}
-				res := s.execPlan(cr, cr.plans[pos], d)
-				fresh := res.Minus("fresh", head)
-				res.Free()
-				if fresh.IsEmpty() {
-					fresh.Free()
-					continue
-				}
-				s.countDelta(cr.rule, fresh)
-				head.UnionWith(fresh)
-				if nd := newDelta[cr.rule.Head.Pred]; nd == nil {
-					newDelta[cr.rule.Head.Pred] = fresh
-				} else {
-					nd.UnionWith(fresh)
-					fresh.Free()
-				}
-			}
-		}
+	if len(delta) == 0 || len(ev.recur) == 0 {
 		for _, d := range delta {
 			d.Free()
 		}
-		delta = newDelta
-		s.maybeGC()
+		return nil
 	}
-	return nil
+	return s.fixpoint(idx, ev, delta, 0)
 }
 
 // recomputeStratum resets the stratum's heads to their fact baseline
@@ -921,19 +849,47 @@ func (l *LiveSolver) Begin(ctl *resilience.Controller, wd WireDelta) (UpdateStat
 	// solver is already rolled back). Re-solve from scratch, detached
 	// from the tripped budget — a degraded update is only useful if it
 	// can finish (mirrors analysis.degrade).
-	ns, rerr := l.inc.Rebase(resilience.NewController(context.Background(), resilience.Budget{}), d)
+	detached := resilience.NewController(context.Background(), resilience.Budget{})
+	st := UpdateStats{Full: true}
+	st.Added, st.Removed = l.inc.effectiveCounts(detached, d)
+	ns, rerr := l.inc.Rebase(detached, d)
 	if rerr != nil {
 		return UpdateStats{}, fmt.Errorf("datalog: full re-solve after budget degradation: %w", rerr)
 	}
 	l.pendingSolver = ns
-	st := UpdateStats{Full: true, Duration: time.Since(start)}
-	for _, rows := range d.Add {
-		st.Added += int64(len(rows))
-	}
-	for _, rows := range d.Remove {
-		st.Removed += int64(len(rows))
-	}
+	st.Duration = time.Since(start)
 	return st, nil
+}
+
+// effectiveCounts returns the Added/Removed figures Update reports for
+// d, measured under ctl against the live input relations, which it
+// leaves unchanged: an addition counts when its tuple is absent, a
+// removal when its tuple is present once the additions are in.
+func (inc *IncrementalSolver) effectiveCounts(ctl *resilience.Controller, d Delta) (added, removed int64) {
+	s := inc.s
+	prev := s.opts.Control
+	s.u.M.SetControl(ctl)
+	defer s.u.M.SetControl(prev)
+	names := make(map[string]bool)
+	for name := range d.Add {
+		names[name] = true
+	}
+	for name := range d.Remove {
+		names[name] = true
+	}
+	for name := range names {
+		r := s.rels[name]
+		cur := relFromTuples(s.u, "add:"+name, r, d.Add[name])
+		cur.UnionWith(r)
+		added += satInt64(cur.Size()) - satInt64(r.Size())
+		rem := relFromTuples(s.u, "rem:"+name, r, d.Remove[name])
+		next := cur.Minus(name, rem)
+		removed += satInt64(cur.Size()) - satInt64(next.Size())
+		cur.Free()
+		rem.Free()
+		next.Free()
+	}
+	return added, removed
 }
 
 // Commit makes the pending update permanent. After a degraded (full

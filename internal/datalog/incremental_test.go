@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"bddbddb/internal/obs"
 	"bddbddb/internal/resilience"
 )
 
@@ -520,12 +522,34 @@ func TestLiveSolverDegradesToFullResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One new tuple, one duplicate of an existing tuple, and one removal
+	// of an absent tuple: only the first is an effective change.
+	d := Delta{
+		Add:    map[string][][]uint64{"vP0": {{4, 2}, {0, 0}}},
+		Remove: map[string][][]uint64{"assign": {{1, 2}}},
+	}
+	ref, err := NewIncrementalSolver(newIncSolver(t, incOpts(), incInputs()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	txn, err := ref.Update(ctl(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := txn.Stats
+	txn.Rollback()
+	if want.Added != 1 || want.Removed != 0 {
+		t.Fatalf("incremental stats = %+v, want 1 added, 0 removed", want)
+	}
 	// A pre-canceled controller trips the incremental path immediately;
 	// the ladder must degrade to a detached full re-solve.
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	canceled := resilience.NewController(cctx, resilience.Budget{})
-	wd := WireDelta{Add: map[string][]WireTuple{"vP0": {{{Num: 4}, {Num: 2}}}}}
+	wd := WireDelta{
+		Add:    map[string][]WireTuple{"vP0": {{{Num: 4}, {Num: 2}}, {{Num: 0}, {Num: 0}}}},
+		Remove: map[string][]WireTuple{"assign": {{{Num: 1}, {Num: 2}}}},
+	}
 	stats, err := ls.Begin(canceled, wd)
 	if err != nil {
 		t.Fatal(err)
@@ -533,12 +557,15 @@ func TestLiveSolverDegradesToFullResolve(t *testing.T) {
 	if !stats.Full {
 		t.Fatalf("stats = %+v, want Full", stats)
 	}
+	if stats.Added != want.Added || stats.Removed != want.Removed {
+		t.Fatalf("degraded stats added=%d removed=%d, incremental path reports added=%d removed=%d",
+			stats.Added, stats.Removed, want.Added, want.Removed)
+	}
 	old := ls.Solver()
 	ls.Commit()
 	if ls.Solver() == old && old == s {
 		t.Fatal("degraded commit did not adopt the rebased solver")
 	}
-	d := Delta{Add: map[string][][]uint64{"vP0": {{4, 2}}}}
 	if got, want := mustFingerprint(t, ls.Solver()), oracleFingerprint(t, incOpts(), incInputs(), d); got != want {
 		t.Fatalf("degraded fingerprint %s != from-scratch %s", got, want)
 	}
@@ -552,4 +579,41 @@ func TestLiveSolverDegradesToFullResolve(t *testing.T) {
 		t.Fatal("post-degradation update unexpectedly degraded")
 	}
 	ls.Commit()
+}
+
+// spanRecorder is a Tracer that keeps only span names.
+type spanRecorder struct{ names []string }
+
+func (r *spanRecorder) Begin(name string, _ ...obs.Arg)    { r.names = append(r.names, name) }
+func (r *spanRecorder) End(...obs.Arg)                     {}
+func (r *spanRecorder) Instant(string, ...obs.Arg)         {}
+func (r *spanRecorder) Counter(string, map[string]float64) {}
+
+// TestTracedUpdateEmitsIterations: a live update on a recursive
+// stratum runs the same semi-naive loop as Solve, iteration spans
+// included.
+func TestTracedUpdateEmitsIterations(t *testing.T) {
+	rec := &spanRecorder{}
+	opts := incOpts()
+	opts.Tracer = rec
+	inc, err := NewIncrementalSolver(newIncSolver(t, opts, incInputs()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.names = nil
+	// vP(6,3) reaches v5 through assign(5,6): one recursive iteration.
+	txn, err := inc.Update(ctl(), Delta{Add: map[string][][]uint64{"vP0": {{6, 3}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	txn.Commit()
+	var iters []string
+	for _, n := range rec.names {
+		if strings.HasPrefix(n, "iteration ") {
+			iters = append(iters, n)
+		}
+	}
+	if len(iters) == 0 {
+		t.Fatalf("traced update emitted no iteration spans; spans: %v", rec.names)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -159,5 +160,34 @@ func TestSolveHistograms(t *testing.T) {
 		if _, ok := snap[k]; !ok {
 			t.Errorf("external registry missing %s", k)
 		}
+	}
+}
+
+// TestRuleTupleKeysOnlyWhenCounted: the per-rule .tuples counters exist
+// only in a solve that measures them, so an uncounted rule exports no
+// key instead of a misleading 0.
+func TestRuleTupleKeysOnlyWhenCounted(t *testing.T) {
+	tupleKeys := func(count bool) []string {
+		s, err := NewSolver(MustParse(tcSrc), Options{CountRuleTuples: count})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Relation("e").AddTuple(0, 1)
+		if err := s.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for k := range s.Metrics().Snapshot() {
+			if strings.HasPrefix(k, "datalog.rule.") && strings.HasSuffix(k, ".tuples") {
+				out = append(out, k)
+			}
+		}
+		return out
+	}
+	if keys := tupleKeys(false); len(keys) != 0 {
+		t.Errorf("plain solve exports %v", keys)
+	}
+	if keys := tupleKeys(true); len(keys) != 2 {
+		t.Errorf("counting solve exports %v, want one key per rule", keys)
 	}
 }

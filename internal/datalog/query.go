@@ -117,8 +117,6 @@ func (b *QueryBase) ElemIndex(domain, name string) (uint64, bool) {
 
 // QueryOptions configures one Eval.
 type QueryOptions struct {
-	// Plan configures the rule planner, as in Options.Plan.
-	Plan PlanConfig
 	// Tracer receives the usual solve spans; nil is free.
 	Tracer obs.Tracer
 	// Control bounds the evaluation (per-request timeout / node
@@ -259,7 +257,6 @@ func (b *QueryBase) Eval(src string, opts QueryOptions) (qr *QueryResult, err er
 	s := &Solver{
 		prog: prog,
 		opts: Options{
-			Plan:      opts.Plan,
 			Tracer:    opts.Tracer,
 			Control:   opts.Control,
 			ElemNames: b.elemNames,

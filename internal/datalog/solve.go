@@ -9,21 +9,13 @@ import (
 	"strings"
 	"time"
 
+	"bddbddb/internal/bdd"
 	"bddbddb/internal/datalog/check"
 	"bddbddb/internal/datalog/plan"
 	"bddbddb/internal/obs"
 	"bddbddb/internal/rel"
 	"bddbddb/internal/resilience"
 )
-
-// PlanConfig selects which planner passes run; see plan.Config. The
-// zero value enables the full optimizer.
-type PlanConfig = plan.Config
-
-// LegacyPlan returns the configuration pinning the pre-planner
-// execution path (textual join order, no hoisting, no dead-op
-// elimination) — the "optimizer off" side of differential tests.
-func LegacyPlan() PlanConfig { return plan.Legacy() }
 
 // Options configures a Solver.
 type Options struct {
@@ -42,20 +34,12 @@ type Options struct {
 	// GCTrigger is the live-node fraction of the table (percent) above
 	// which the solver garbage-collects between iterations. 0 means 75.
 	GCTrigger int
-	// NoIncrementalization disables semi-naive evaluation: every
-	// recursive rule is re-applied to the full relations each iteration.
-	// This is the ablation for Section 2.4's "Incrementalization"
-	// optimization; leave it false for real use.
-	NoIncrementalization bool
-	// Plan configures the rule planner: which rewrite passes (join
-	// reordering, projection push-down, normalization hoisting, dead-op
-	// elimination) run on each rule's plan. The zero value runs them
-	// all; plan.Legacy() pins the historical textual-order execution.
-	Plan PlanConfig
 	// CountRuleTuples additionally records, per rule, how many new head
 	// tuples it derived (RuleStats.DeltaTuples). Counting is an exact
 	// satcount per derivation, so it costs a little; rule applications
-	// and times are always collected.
+	// and times are always collected. Only a counting solve exports the
+	// datalog.rule.NNN.tuples keys; an uncounted rule has no key rather
+	// than a 0.
 	CountRuleTuples bool
 	// Tracer receives solve/stratum/iteration/rule spans plus the BDD
 	// manager's GC and growth events. Nil (the default) emits nothing
@@ -144,16 +128,6 @@ const (
 	keyIters    = "datalog.iterations"
 )
 
-// replanEveryIteration re-optimizes recursive rules' delta plans with
-// fresh cardinalities each fixpoint iteration. Off: re-sorting the
-// joins every round changes the operand pairings, and the BDD
-// operation cache — which carries most of the cross-iteration work in
-// semi-naive evaluation — stops hitting. Measured on the synthetic
-// context-sensitive workloads, stable plans beat per-iteration
-// replanning across the board; the toggle stays as the documented
-// experiment knob.
-const replanEveryIteration = false
-
 // opMetricKeys maps plan op kinds to their datalog.op.* counter keys.
 var opMetricKeys = map[string]string{
 	"Load":        "datalog.op.load",
@@ -211,6 +185,7 @@ type Solver struct {
 
 // ruleObs bundles one rule's metric handles: the timer's count is the
 // rule's application count, its total the cumulative evaluation time.
+// tuples is nil unless Options.CountRuleTuples is set.
 type ruleObs struct {
 	text   string // the rule, for reports
 	span   string // stable trace-span name, e.g. "rule 3: vP"
@@ -219,10 +194,10 @@ type ruleObs struct {
 }
 
 func (s *Solver) countDelta(r *Rule, fresh *rel.Relation) {
-	if !s.opts.CountRuleTuples {
+	ro := s.ruleObs[r]
+	if ro.tuples == nil {
 		return
 	}
-	ro := s.ruleObs[r]
 	n := satInt64(fresh.Size())
 	ro.tuples.Add(n)
 	if s.tr != nil {
@@ -340,8 +315,8 @@ func NewSolver(prog *Program, opts Options) (*Solver, error) {
 // initObs wires the solver's private metrics registry: the shared
 // counters, one counter per plan-op kind (pre-created so the keys
 // appear in snapshots even when an op kind never runs), and per-rule
-// timer/tuple handles. Both NewSolver and QueryBase.Eval-built solvers
-// go through here.
+// timer handles, plus tuple counters when CountRuleTuples is set. Both
+// NewSolver and QueryBase.Eval-built solvers go through here.
 func (s *Solver) initObs() {
 	s.cApps = s.reg.Counter(keyRuleApps)
 	s.cIters = s.reg.Counter(keyIters)
@@ -358,12 +333,15 @@ func (s *Solver) initObs() {
 			continue
 		}
 		key := fmt.Sprintf("datalog.rule.%03d", i)
-		s.ruleObs[rule] = &ruleObs{
-			text:   rule.String(),
-			span:   fmt.Sprintf("rule %d: %s", i, rule.Head.Pred),
-			timer:  s.reg.Timer(key),
-			tuples: s.reg.Counter(key + ".tuples"),
+		ro := &ruleObs{
+			text:  rule.String(),
+			span:  fmt.Sprintf("rule %d: %s", i, rule.Head.Pred),
+			timer: s.reg.Timer(key),
 		}
+		if s.opts.CountRuleTuples {
+			ro.tuples = s.reg.Counter(key + ".tuples")
+		}
+		s.ruleObs[rule] = ro
 	}
 }
 
@@ -429,12 +407,15 @@ func (s *Solver) Stats() SolverStats {
 		if ro == nil || ro.timer.Count() == 0 {
 			continue
 		}
-		out.Rules = append(out.Rules, RuleStats{
+		rs := RuleStats{
 			Rule:         ro.text,
 			Applications: ro.timer.Count(),
 			Time:         ro.timer.Total(),
-			DeltaTuples:  ro.tuples.Value(),
-		})
+		}
+		if ro.tuples != nil {
+			rs.DeltaTuples = ro.tuples.Value()
+		}
+		out.Rules = append(out.Rules, rs)
 	}
 	return out
 }
@@ -578,113 +559,111 @@ func (s *Solver) solveStratum(idx int, st *stratum, resume *resumeState) error {
 		s.tr.Begin(fmt.Sprintf("stratum %d", idx), obs.A("rules", len(st.rules)))
 		defer func() { s.tr.End() }()
 	}
-	inStratum := make(map[string]bool)
-	for _, p := range st.preds {
-		inStratum[p] = true
+	ev := s.planStratum(st)
+	defer ev.release(s.u.M)
+	if resume == nil {
+		for _, cr := range ev.rules {
+			if len(cr.recursivePositions(ev.inStratum)) == 0 {
+				s.derive(cr, cr.plans[-1], nil, nil)
+			}
+		}
 	}
-	var base, recur []*compiledRule
+	if len(ev.recur) == 0 {
+		return nil
+	}
+	// Semi-naive iteration: deltas start at the current values (or, on
+	// resume, at the checkpointed frontier).
+	if resume != nil {
+		return s.fixpoint(idx, ev, resume.deltas, resume.iter)
+	}
+	delta := make(map[string]*rel.Relation)
+	for _, p := range st.preds {
+		if r, ok := s.rels[p]; ok {
+			delta[p] = r.Clone("Δ" + p)
+		}
+	}
+	return s.fixpoint(idx, ev, delta, 0)
+}
+
+// stratumEval is one stratum's rules planned for evaluation.
+type stratumEval struct {
+	inStratum map[string]bool
+	// card is the memoized live-cardinality lookup the plans were
+	// built against.
+	card func(pred string) float64
+	// rules holds every non-fact rule of the stratum in program order;
+	// recur the subset reading a predicate of the stratum itself.
+	rules, recur []*compiledRule
+}
+
+// planStratum plans every rule of the stratum against the
+// cardinalities its sources have right now (lower strata are final,
+// recursive relations hold their current values). Each rule gets a
+// base variant and one delta variant per recursive position.
+func (s *Solver) planStratum(st *stratum) *stratumEval {
+	ev := &stratumEval{inStratum: make(map[string]bool), card: s.cardFn()}
+	for _, p := range st.preds {
+		ev.inStratum[p] = true
+	}
 	for _, rule := range st.rules {
 		if rule.IsFact() {
 			continue
 		}
 		cr := s.compiled[rule]
-		if len(cr.recursivePositions(inStratum)) > 0 {
-			recur = append(recur, cr)
-		} else {
-			base = append(base, cr)
+		s.planRule(cr, ev.inStratum, ev.card)
+		ev.rules = append(ev.rules, cr)
+		if len(cr.recursivePositions(ev.inStratum)) > 0 {
+			ev.recur = append(ev.recur, cr)
 		}
 	}
-	// Plan every rule of the stratum against the cardinalities its
-	// sources have right now (lower strata are final, recursive
-	// relations hold their seed values). Each rule gets a base variant
-	// and one delta variant per recursive position. Hoisted
-	// normalizations are dropped when the stratum finishes — every rule
-	// belongs to exactly one stratum, so this covers all cache entries.
-	card := s.cardFn()
-	for _, cr := range base {
-		s.planRule(cr, inStratum, card)
+	return ev
+}
+
+// release drops the hoisted normalizations of the stratum's rules.
+// Every rule belongs to exactly one stratum, so this covers all cache
+// entries.
+func (ev *stratumEval) release(m *bdd.Manager) {
+	for _, cr := range ev.rules {
+		cr.clearCaches(m)
 	}
-	for _, cr := range recur {
-		s.planRule(cr, inStratum, card)
+}
+
+// derive applies one plan variant (delta is what its delta literal
+// reads, nil for the base variant), adds the result's new tuples to the
+// head relation, and merges them into frontier under the head
+// predicate when frontier is non-nil. Every rule application goes
+// through here.
+func (s *Solver) derive(cr *compiledRule, p *plan.Plan, delta *rel.Relation, frontier map[string]*rel.Relation) {
+	res := s.execPlan(cr, p, delta)
+	head := s.rels[cr.rule.Head.Pred]
+	fresh := res.Minus("fresh", head)
+	res.Free()
+	if fresh.IsEmpty() {
+		fresh.Free()
+		return
 	}
-	defer func() {
-		for _, cr := range base {
-			cr.clearCaches(s.u.M)
-		}
-		for _, cr := range recur {
-			cr.clearCaches(s.u.M)
-		}
-	}()
-	if resume == nil {
-		for _, cr := range base {
-			res := s.execPlan(cr, cr.plans[-1], nil)
-			head := s.rels[cr.rule.Head.Pred]
-			fresh := res.Minus("fresh", head)
-			res.Free()
-			s.countDelta(cr.rule, fresh)
-			head.UnionWith(fresh)
-			fresh.Free()
-		}
+	s.countDelta(cr.rule, fresh)
+	head.UnionWith(fresh)
+	if frontier == nil {
+		fresh.Free()
+		return
 	}
-	if len(recur) == 0 {
-		return nil
-	}
-	if s.opts.NoIncrementalization {
-		var iter int64
-		for {
-			iter++
-			s.cIters.Inc()
-			s.opts.Control.AddIteration()
-			if s.tr != nil {
-				s.tr.Begin(fmt.Sprintf("iteration %d", s.cIters.Value()))
-			}
-			changed := false
-			for _, cr := range recur {
-				head := s.rels[cr.rule.Head.Pred]
-				res := s.execPlan(cr, cr.plans[-1], nil)
-				fresh := res.Minus("fresh", head)
-				res.Free()
-				if !fresh.IsEmpty() {
-					s.countDelta(cr.rule, fresh)
-					head.UnionWith(fresh)
-					changed = true
-				}
-				fresh.Free()
-			}
-			s.maybeGC()
-			if s.tr != nil {
-				s.tr.End(obs.A("changed", changed))
-			}
-			// Naive mode has no delta frontier: a mid-stratum checkpoint
-			// saves just the relations, and resuming re-runs the stratum
-			// from them (monotonicity makes the re-run converge to the
-			// same fixpoint).
-			if changed && s.opts.Checkpoint.Due(int(iter)) {
-				if err := s.writeCheckpoint(idx, 0, nil); err != nil {
-					return err
-				}
-			}
-			if !changed {
-				return nil
-			}
-		}
-	}
-	// Semi-naive iteration: deltas start at the current values (or, on
-	// resume, at the checkpointed frontier).
-	var delta map[string]*rel.Relation
-	var iter int64
-	if resume != nil {
-		delta = resume.deltas
-		iter = resume.iter
+	if d := frontier[cr.rule.Head.Pred]; d == nil {
+		frontier[cr.rule.Head.Pred] = fresh
 	} else {
-		delta = make(map[string]*rel.Relation)
-		for _, p := range st.preds {
-			if r, ok := s.rels[p]; ok {
-				delta[p] = r.Clone("Δ" + p)
-			}
-		}
+		d.UnionWith(fresh)
+		fresh.Free()
 	}
-	first := resume == nil
+}
+
+// fixpoint is the semi-naive loop, shared by Solve and live updates:
+// each iteration fires every recursive rule once per recursive body
+// position, reading that position's predicate from the frontier delta,
+// and the tuples it derives form the next frontier. It returns when an
+// iteration derives nothing, and takes ownership of delta. iter is the
+// number of iterations already completed in this stratum (nonzero when
+// resuming from a checkpoint); checkpoints are due by it.
+func (s *Solver) fixpoint(idx int, ev *stratumEval, delta map[string]*rel.Relation, iter int64) error {
 	for {
 		iter++
 		s.cIters.Inc()
@@ -692,73 +671,31 @@ func (s *Solver) solveStratum(idx int, st *stratum, resume *resumeState) error {
 		if s.tr != nil {
 			s.tr.Begin(fmt.Sprintf("iteration %d", s.cIters.Value()))
 		}
-		// Replan the delta variants with this iteration's cardinalities:
-		// the recursive relations were empty (or seed-sized) when the
-		// stratum was planned, and the greedy order only becomes
-		// trustworthy once they hold real data. Only rules whose order
-		// actually has freedom (two or more literals after the delta
-		// rotation) are replanned — recomputing satcounts every
-		// iteration for a binary transitive-closure rule would cost more
-		// than the plan could ever save. Replanning never touches the
-		// canonical literal list, so hoisted normalizations keyed by
-		// position survive across iterations.
-		if !first && !s.opts.Plan.NoReorder && replanEveryIteration {
-			var iterCard func(string) float64
-			for _, cr := range recur {
-				if !cr.orderHasFreedom() {
-					continue
+		next := make(map[string]*rel.Relation)
+		for _, cr := range ev.recur {
+			for _, pos := range cr.recursivePositions(ev.inStratum) {
+				if d := delta[cr.naive.Lits[pos].Pred]; d != nil && !d.IsEmpty() {
+					s.derive(cr, cr.plans[pos], d, next)
 				}
-				if iterCard == nil {
-					iterCard = s.cardFn()
-				}
-				s.planRule(cr, inStratum, iterCard)
-			}
-		}
-		first = false
-		newDelta := make(map[string]*rel.Relation)
-		changed := false
-		for _, cr := range recur {
-			head := s.rels[cr.rule.Head.Pred]
-			for _, pos := range cr.recursivePositions(inStratum) {
-				d := delta[cr.naive.Lits[pos].Pred]
-				if d == nil || d.IsEmpty() {
-					continue
-				}
-				res := s.execPlan(cr, cr.plans[pos], d)
-				fresh := res.Minus("fresh", head)
-				res.Free()
-				if fresh.IsEmpty() {
-					fresh.Free()
-					continue
-				}
-				s.countDelta(cr.rule, fresh)
-				head.UnionWith(fresh)
-				nd := newDelta[cr.rule.Head.Pred]
-				if nd == nil {
-					newDelta[cr.rule.Head.Pred] = fresh
-				} else {
-					nd.UnionWith(fresh)
-					fresh.Free()
-				}
-				changed = true
 			}
 		}
 		for _, d := range delta {
 			d.Free()
 		}
-		delta = newDelta
+		delta = next
+		changed := len(delta) > 0
 		s.maybeGC()
 		if s.tr != nil {
 			s.tr.End(obs.A("changed", changed))
 		}
 		if !changed {
-			for _, d := range delta {
-				d.Free()
-			}
 			return nil
 		}
 		if s.opts.Checkpoint.Due(int(iter)) {
 			if err := s.writeCheckpoint(idx, iter, delta); err != nil {
+				for _, d := range delta {
+					d.Free()
+				}
 				return err
 			}
 		}
@@ -767,12 +704,11 @@ func (s *Solver) solveStratum(idx int, st *stratum, resume *resumeState) error {
 
 // planRule builds the rule's plan variants for the current stratum:
 // the base variant and one semi-naive variant per recursive position,
-// all optimized under the solver's plan configuration against live
-// cardinalities.
+// all optimized against live cardinalities.
 func (s *Solver) planRule(cr *compiledRule, inStratum map[string]bool, card func(string) float64) {
-	cr.plans = map[int]*plan.Plan{-1: plan.Optimize(cr.naive, s.opts.Plan, card)}
+	cr.plans = map[int]*plan.Plan{-1: plan.Optimize(cr.naive, card)}
 	for _, pos := range cr.recursivePositions(inStratum) {
-		cr.plans[pos] = plan.Optimize(cr.naive.WithDelta(pos), s.opts.Plan, card)
+		cr.plans[pos] = plan.Optimize(cr.naive.WithDelta(pos), card)
 	}
 }
 
@@ -805,8 +741,8 @@ func (s *Solver) RelationNames() []string {
 }
 
 // Explain writes every rule's execution plan, stratum by stratum: the
-// canonical lowered form ("before", the historical textual-order
-// execution) and the optimizer's output ("after"), including each
+// canonical lowered form ("before", textual join order) and the
+// optimizer's output ("after"), including each
 // semi-naive delta variant for recursive rules. Loads are annotated
 // with the cardinalities the planner saw, so calling Explain after
 // filling input relations (as cmd/bddbddb -explain does) shows the
@@ -832,21 +768,19 @@ func (s *Solver) Explain(w io.Writer) {
 			fmt.Fprintf(w, "rule %d: %s\n", ruleIdx[rule], cr.naive.Rule)
 			fmt.Fprintln(w, " before:")
 			cr.naive.Format(w, card)
-			opt := plan.Optimize(cr.naive, s.opts.Plan, card)
+			opt := plan.Optimize(cr.naive, card)
 			fmt.Fprintln(w, " after:")
 			opt.Format(w, card)
 			for _, pos := range cr.recursivePositions(inStratum) {
-				dv := plan.Optimize(cr.naive.WithDelta(pos), s.opts.Plan, card)
+				dv := plan.Optimize(cr.naive.WithDelta(pos), card)
 				fmt.Fprintf(w, " after (Δ%s at %d):\n", cr.naive.Lits[pos].Pred, pos)
 				dv.Format(w, card)
 			}
 			var hoisted []string
-			if !s.opts.Plan.NoHoist {
-				for i := range opt.Lits {
-					l := &opt.Lits[i]
-					if !l.Trivial() && !l.Delta() {
-						hoisted = append(hoisted, l.Pred)
-					}
+			for i := range opt.Lits {
+				l := &opt.Lits[i]
+				if !l.Trivial() && !l.Delta() {
+					hoisted = append(hoisted, l.Pred)
 				}
 			}
 			if len(hoisted) > 0 {

@@ -403,38 +403,6 @@ hP(h1, f, h2) :- store(v1, f, v2), vP(v1, h1), vP(v2, h2).
 	}
 }
 
-func TestNoIncrementalizationMatches(t *testing.T) {
-	inputs := map[string][][]uint64{"e": {{0, 1}, {1, 2}, {2, 3}, {3, 1}, {0, 4}}}
-	prog := MustParse(tcSrc)
-	inc, err := NewSolver(prog, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	noinc, err := NewSolver(prog, Options{NoIncrementalization: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range inputs["e"] {
-		inc.Relation("e").AddTuple(row...)
-		noinc.Relation("e").AddTuple(row...)
-	}
-	if err := inc.Solve(); err != nil {
-		t.Fatal(err)
-	}
-	if err := noinc.Solve(); err != nil {
-		t.Fatal(err)
-	}
-	a := sortedTuples(inc.Relation("tc").Tuples())
-	b := sortedTuples(noinc.Relation("tc").Tuples())
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("incrementalized %v vs full %v", a, b)
-	}
-	if inc.Stats().RuleApplications >= noinc.Stats().RuleApplications {
-		t.Logf("note: semi-naive used %d rule apps, full %d",
-			inc.Stats().RuleApplications, noinc.Stats().RuleApplications)
-	}
-}
-
 func TestSolveTwiceErrors(t *testing.T) {
 	s, err := NewSolver(MustParse(tcSrc), Options{})
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"bddbddb/internal/analysis"
-	"bddbddb/internal/datalog"
 	"bddbddb/internal/extract"
 )
 
@@ -60,26 +59,6 @@ func TestOracleHandCoded(t *testing.T) {
 				t.Fatalf("%s: empty points-to result", name)
 			}
 			comparePairs(t, f, engPairs, hcPairs, "engine", "hand-coded")
-		})
-	}
-}
-
-// TestOraclePlanDifferential: the optimizing planner and the legacy
-// pre-planner execution path must produce identical vP on Go-derived
-// inputs.
-func TestOraclePlanDifferential(t *testing.T) {
-	for _, name := range fixtureNames(t) {
-		t.Run(name, func(t *testing.T) {
-			f := fixtureFacts(t, name)
-			legacy, err := analysis.RunContextInsensitive(f, true, analysis.Config{Plan: datalog.LegacyPlan()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt, err := analysis.RunContextInsensitive(f, true, analysis.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			comparePairs(t, f, pairsOf(opt), pairsOf(legacy), "optimized-plan", "legacy-plan")
 		})
 	}
 }
