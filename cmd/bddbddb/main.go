@@ -231,7 +231,8 @@ func reportDiags(ds check.Diags) {
 // are fully validated against the relation's declared schema before
 // they reach the BDD layer, so malformed user input surfaces as a
 // positioned DL110 diagnostic (file:line within the .tuples file)
-// instead of a panic out of rel.AddTuple.
+// instead of a panic out of rel.AddTuples. The rows are inserted in
+// one batch once the whole file has been read.
 func loadTuples(s *datalog.Solver, prog *datalog.Program, dir, name string) error {
 	path := filepath.Join(dir, name+".tuples")
 	f, err := os.Open(path)
@@ -247,7 +248,7 @@ func loadTuples(s *datalog.Solver, prog *datalog.Program, dir, name string) erro
 	for i, a := range decl.Attrs {
 		sizes[i] = prog.Domain(a.Domain).Size
 	}
-	rel := s.Relation(name)
+	var rows [][]uint64
 	sc := bufio.NewScanner(f)
 	line := 0
 	for sc.Scan() {
@@ -275,9 +276,13 @@ func loadTuples(s *datalog.Solver, prog *datalog.Program, dir, name string) erro
 			}
 			vals[i] = v
 		}
-		rel.AddTuple(vals...)
+		rows = append(rows, vals)
 	}
-	return sc.Err()
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	s.Relation(name).AddTuples(rows)
+	return nil
 }
 
 func readLines(path string) ([]string, error) {

@@ -200,12 +200,18 @@ func baseOptions(f *extract.Facts, cfg Config, order []string) datalog.Options {
 	}
 }
 
-// fill loads tuples into a declared relation.
+// fill loads tuples into a declared relation in one batch.
 func fill(s *datalog.Solver, name string, tuples []extract.Tuple) {
-	r := s.Relation(name)
-	for _, t := range tuples {
-		r.AddTuple(t...)
+	s.Relation(name).AddTuples(rows(tuples))
+}
+
+// rows views extracted tuples as the rows rel.Relation.AddTuples takes.
+func rows(tuples []extract.Tuple) [][]uint64 {
+	out := make([][]uint64, len(tuples))
+	for i, t := range tuples {
+		out[i] = t
 	}
+	return out
 }
 
 // fillCommon loads every standard extracted relation the program
@@ -235,10 +241,11 @@ func fillCommon(s *datalog.Solver, f *extract.Facts) {
 	}
 	// Equality diagonals used by negated inequality tests.
 	if s.HasRelation("eqT") {
-		r := s.Relation("eqT")
-		for t := uint64(0); t < uint64(len(f.Types)); t++ {
-			r.AddTuple(t, t)
+		diag := make([][]uint64, len(f.Types))
+		for t := range diag {
+			diag[t] = []uint64{uint64(t), uint64(t)}
 		}
+		s.Relation("eqT").AddTuples(diag)
 	}
 }
 
@@ -538,12 +545,13 @@ func runHeapCloned(f *extract.Facts, g *callgraph.Graph, cfg Config) (*Result, e
 	}
 	obs.Begin(cfg.Tracer, "analysis.fill")
 	fillCommon(s, f)
-	nhc := s.Relation("noHeapContext")
+	var nhc [][]uint64
 	for h, no := range noHeap {
 		if no {
-			nhc.AddTuple(uint64(h))
+			nhc = append(nhc, []uint64{uint64(h)})
 		}
 	}
+	s.Relation("noHeapContext").AddTuples(nhc)
 	obs.End(cfg.Tracer)
 	if err := s.Solve(); err != nil {
 		return nil, err

@@ -634,6 +634,49 @@ func TestPairValidation(t *testing.T) {
 	}()
 }
 
+// TestPairInjectivityPanics pins the level-indexed pair's injectivity
+// checks and their messages, including a destination beyond the levels
+// that existed when the pair was made, and that a rejected Set leaves
+// the pair usable.
+func TestPairInjectivityPanics(t *testing.T) {
+	m := New(0, 0)
+	m.AddVars(4)
+	p := m.NewPair()
+	mustPanic := func(want string, fn func()) {
+		t.Helper()
+		defer func() {
+			if got := recover(); got != want {
+				t.Errorf("panic = %v, want %q", got, want)
+			}
+		}()
+		fn()
+	}
+	p.Set(0, 2)
+	p.Set(0, 2) // repeating a mapping is fine
+	p.Set(3, 3) // identity is a no-op
+	mustPanic("bdd: pair maps level 0 twice (2 and 3)", func() { p.Set(0, 3) })
+	mustPanic("bdd: pair maps levels 0 and 1 to same destination 2", func() { p.Set(1, 2) })
+	m.AddVars(2)
+	p.Set(1, 5)
+	mustPanic("bdd: pair maps levels 1 and 4 to same destination 5", func() { p.Set(4, 5) })
+	mustPanic("bdd: pair maps negative level (-1 to 0)", func() { p.Set(-1, 0) })
+	if p.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", p.Len())
+	}
+	// The surviving mapping {0->2, 1->5} renames x0 ∧ ¬x1 to x2 ∧ ¬x5.
+	v0, n1 := m.Var(0), m.NVar(1)
+	f := m.And(v0, n1)
+	g := m.Replace(f, p)
+	v2, n5 := m.Var(2), m.NVar(5)
+	want := m.And(v2, n5)
+	if g != want {
+		t.Fatalf("Replace(x0∧¬x1) = %d, want x2∧¬x5 = %d", g, want)
+	}
+	for _, n := range []Node{v0, n1, f, g, v2, n5, want} {
+		m.Deref(n)
+	}
+}
+
 func TestPeakLiveTracking(t *testing.T) {
 	m := New(1<<10, 1<<8)
 	m.AddVars(12)

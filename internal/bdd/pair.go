@@ -6,9 +6,14 @@ import "fmt"
 // bdd_setpair. It maps source levels to destination levels; unmapped
 // levels are unchanged.
 type Pair struct {
-	m    *Manager
-	perm map[int32]int32
-	id   Node // unique id used as a cache key
+	m *Manager
+	// to[l] is the level that level l moves to (l itself when unmapped):
+	// replace reads it once per node, so it is a slice indexed by
+	// level. src[d] is the level explicitly mapped to d, or -1; it keeps
+	// the injectivity check O(1).
+	to, src []int32
+	n       int  // explicitly mapped levels
+	id      Node // unique id used as a cache key
 }
 
 // NewPair creates an empty renaming pair. The id is a per-manager
@@ -20,7 +25,17 @@ func (m *Manager) NewPair() *Pair {
 		m.pairID = 1 << 20
 	}
 	m.pairID++
-	return &Pair{m: m, perm: make(map[int32]int32), id: m.pairID}
+	p := &Pair{m: m, id: m.pairID}
+	p.grow(m.nvars)
+	return p
+}
+
+// grow extends the level tables to cover n levels.
+func (p *Pair) grow(n int32) {
+	for l := int32(len(p.to)); l < n; l++ {
+		p.to = append(p.to, l)
+		p.src = append(p.src, -1)
+	}
 }
 
 // Set maps the variable at level from to the variable at level to.
@@ -30,15 +45,21 @@ func (p *Pair) Set(from, to int32) {
 	if from == to {
 		return
 	}
-	if old, ok := p.perm[from]; ok && old != to {
+	if from < 0 || to < 0 {
+		panic(fmt.Sprintf("bdd: pair maps negative level (%d to %d)", from, to))
+	}
+	p.grow(max(from, to) + 1)
+	if old := p.to[from]; old != from && old != to {
 		panic(fmt.Sprintf("bdd: pair maps level %d twice (%d and %d)", from, old, to))
 	}
-	for f, t := range p.perm {
-		if t == to && f != from {
-			panic(fmt.Sprintf("bdd: pair maps levels %d and %d to same destination %d", f, from, to))
-		}
+	if f := p.src[to]; f >= 0 && f != from {
+		panic(fmt.Sprintf("bdd: pair maps levels %d and %d to same destination %d", f, from, to))
 	}
-	p.perm[from] = to
+	if p.to[from] == from {
+		p.n++
+	}
+	p.to[from] = to
+	p.src[to] = from
 }
 
 // SetDomains maps every bit of domain from onto the corresponding bit
@@ -54,14 +75,14 @@ func (p *Pair) SetDomains(from, to *Domain) {
 }
 
 // Len reports how many levels the pair remaps.
-func (p *Pair) Len() int { return len(p.perm) }
+func (p *Pair) Len() int { return p.n }
 
 // Replace renames variables in a according to the pair. Referenced for
 // the caller. This is BuDDy's bdd_replace: the implementation recurses
 // to the children, substitutes the mapped level, and re-inserts it at
 // its proper position in the order (correctify).
 func (m *Manager) Replace(a Node, p *Pair) Node {
-	if len(p.perm) == 0 {
+	if p.n == 0 {
 		return m.Ref(a)
 	}
 	return m.Ref(m.replace(a, p))
@@ -79,8 +100,8 @@ func (m *Manager) replace(a Node, p *Pair) Node {
 	low := m.replace(nd.low, p)
 	high := m.replace(nd.high, p)
 	lv := nd.level
-	if to, ok := p.perm[lv]; ok {
-		lv = to
+	if int(lv) < len(p.to) {
+		lv = p.to[lv]
 	}
 	res := m.correctify(lv, low, high)
 	m.replCache.insert(a, p.id, res)

@@ -45,10 +45,22 @@ type compiledRule struct {
 // alive (so its address cannot be recycled) and every content mutation
 // bumps the stamp, so an equal pair later proves the source is
 // unchanged.
+//
+// A union into the source need not invalidate the entry: every op of a
+// pipeline without Complement distributes over union, so
+// Solver.advanceCaches moves norm and stamp forward by normalizing
+// only the added tuples. Any other mutation fails the check and the
+// next read rebuilds.
 type litCache struct {
 	src   *rel.Relation
 	stamp uint64
 	norm  *rel.Relation
+	// lit is the pipeline norm was built with (every plan variant
+	// carries the same pipeline at a canonical position).
+	lit *plan.Lit
+	// advances counts the unions this entry absorbed since its last
+	// build.
+	advances int
 }
 
 // clear drops the cached form.
@@ -57,9 +69,18 @@ func (c *litCache) clear(m *bdd.Manager) {
 		return
 	}
 	c.norm.Free()
-	c.norm = nil
-	c.src = nil
-	c.stamp = 0
+	*c = litCache{}
+}
+
+// canAdvance reports whether the entry's pipeline distributes over
+// union, i.e. has no Complement.
+func (c *litCache) canAdvance() bool {
+	for _, o := range c.lit.Ops {
+		if _, ok := o.(*plan.Complement); ok {
+			return false
+		}
+	}
+	return true
 }
 
 // clearCaches drops every hoisted normalization the rule holds.

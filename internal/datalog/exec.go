@@ -2,7 +2,6 @@ package datalog
 
 import (
 	"fmt"
-	"time"
 
 	"bddbddb/internal/datalog/plan"
 	"bddbddb/internal/rel"
@@ -20,24 +19,6 @@ import (
 // freed here, and a still-borrowed final accumulator is cloned (a
 // reference bump) so the caller's Free stays safe.
 func (s *Solver) execPlan(cr *compiledRule, p *plan.Plan, delta *rel.Relation) *rel.Relation {
-	// One coarse cancellation/budget check per rule application; the
-	// fine-grained strided polls live inside the BDD recursions.
-	s.opts.Control.Check()
-	ro := s.ruleObs[cr.rule]
-	start := time.Now()
-	if s.tr != nil {
-		s.tr.Begin(ro.span)
-	}
-	defer func() {
-		d := time.Since(start)
-		ro.timer.Observe(d)
-		s.hRuleApply.Observe(d.Seconds())
-		if s.tr != nil {
-			s.tr.End()
-		}
-	}()
-	s.cApps.Inc()
-
 	var acc *rel.Relation
 	accOwned := false
 	for k, idx := range p.Order {
@@ -91,6 +72,7 @@ func (s *Solver) execPlan(cr *compiledRule, p *plan.Plan, delta *rel.Relation) *
 		case *plan.BindFull:
 			next = acc.Join("acc", cr.full[o.Attr.Name])
 		case *plan.Reshape:
+			s.countMoves(acc, o.Spec)
 			next = acc.Reshape("acc", o.Spec)
 		case *plan.DupHead:
 			next = acc.Join("acc", cr.dups[o.NewAttr.Name])
@@ -147,9 +129,7 @@ func (s *Solver) evalLit(cr *compiledRule, p *plan.Plan, idx int, delta *rel.Rel
 	s.cHoistMisses.Inc()
 	norm := s.runPipeline(l, src)
 	c.clear(s.u.M)
-	c.src = src
-	c.stamp = src.Stamp()
-	c.norm = norm
+	*c = litCache{src: src, stamp: src.Stamp(), norm: norm, lit: l}
 	return norm, false
 }
 
@@ -173,6 +153,7 @@ func (s *Solver) runPipeline(l *plan.Lit, src *rel.Relation) *rel.Relation {
 		case *plan.Project:
 			next = cur.ProjectOut(name, o.Drop...)
 		case *plan.Reshape:
+			s.countMoves(cur, o.Spec)
 			next = cur.Reshape(name, o.Spec)
 		case *plan.Complement:
 			next = cur.Complement("¬" + l.Pred)
@@ -189,6 +170,18 @@ func (s *Solver) runPipeline(l *plan.Lit, src *rel.Relation) *rel.Relation {
 		cur, owned = next, true
 	}
 	return cur
+}
+
+// countMoves bumps datalog.op.reshape_moves when a Reshape of in
+// rebinds an attribute to another physical domain — a bdd.Replace —
+// rather than only renaming it.
+func (s *Solver) countMoves(in *rel.Relation, spec map[string]rel.Remap) {
+	for name, mv := range spec {
+		if mv.NewPhys != nil && mv.NewPhys != in.Attr(name).Phys {
+			s.cReshapeMoves.Inc()
+			return
+		}
+	}
 }
 
 // countOp bumps the op's datalog.op.* counter.

@@ -414,9 +414,7 @@ func (inc *IncrementalSolver) affectedHeads(changed map[string]bool) []string {
 // relFromTuples materializes rows as a relation with like's schema.
 func relFromTuples(u *rel.Universe, name string, like *rel.Relation, rows [][]uint64) *rel.Relation {
 	r := u.NewRelation(name, like.Attrs()...)
-	for _, vals := range rows {
-		r.AddTuple(vals...)
-	}
+	r.AddTuples(rows)
 	return r
 }
 
@@ -639,7 +637,7 @@ func (inc *IncrementalSolver) propagateStratum(idx int, st *stratum, changedAdd 
 				continue
 			}
 			if g := changedAdd[l.Pred]; g != nil && !g.IsEmpty() {
-				s.derive(cr, plan.Optimize(cr.naive.WithDelta(pos), ev.card), g, delta)
+				s.derive(ev, cr, plan.Optimize(cr.naive.WithDelta(pos), ev.card), g, delta)
 			}
 		}
 	}
@@ -657,12 +655,7 @@ func (inc *IncrementalSolver) propagateStratum(idx int, st *stratum, changedAdd 
 func (inc *IncrementalSolver) recomputeStratum(idx int, st *stratum) error {
 	s := inc.s
 	for _, h := range st.preds {
-		old := s.rels[h]
-		base := s.u.NewRelation(h, old.Attrs()...)
-		for _, vals := range inc.factTuples[h] {
-			base.AddTuple(vals...)
-		}
-		s.ReplaceRelation(h, base)
+		s.ReplaceRelation(h, relFromTuples(s.u, h, s.rels[h], inc.factTuples[h]))
 	}
 	return s.solveStratum(idx, st, nil)
 }
@@ -715,10 +708,7 @@ func ApplyDeltaToRelations(s *Solver, d Delta) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		r := s.rels[name]
-		for _, vals := range d.Add[name] {
-			r.AddTuple(vals...)
-		}
+		s.rels[name].AddTuples(d.Add[name])
 	}
 	names = names[:0]
 	for name := range d.Remove {

@@ -168,12 +168,16 @@ type Solver struct {
 	cApps  *obs.Counter
 	cIters *obs.Counter
 	// opCounters counts executed plan ops by kind (datalog.op.*);
-	// cHoistHits/cHoistMisses count normalization-cache outcomes.
-	opCounters   map[string]*obs.Counter
-	cHoistHits   *obs.Counter
-	cHoistMisses *obs.Counter
-	ruleObs      map[*Rule]*ruleObs
-	relCards     []RelationCard
+	// cHoistHits/cHoistMisses count normalization-cache reads served
+	// and rebuilt, cHoistAdvances caches moved forward by a union, and
+	// cReshapeMoves the Reshapes that ran a bdd.Replace.
+	opCounters     map[string]*obs.Counter
+	cHoistHits     *obs.Counter
+	cHoistMisses   *obs.Counter
+	cHoistAdvances *obs.Counter
+	cReshapeMoves  *obs.Counter
+	ruleObs        map[*Rule]*ruleObs
+	relCards       []RelationCard
 	// hRuleApply aggregates every rule application's wall time into one
 	// latency distribution (datalog.rule.apply_sec); hOpNodes records
 	// each plan op's materialized result size as the delta of the BDD
@@ -326,6 +330,8 @@ func (s *Solver) initObs() {
 	}
 	s.cHoistHits = s.reg.Counter("datalog.op.norm_cache_hits")
 	s.cHoistMisses = s.reg.Counter("datalog.op.norm_cache_misses")
+	s.cHoistAdvances = s.reg.Counter("datalog.op.norm_cache_advances")
+	s.cReshapeMoves = s.reg.Counter("datalog.op.reshape_moves")
 	s.hRuleApply = s.reg.Histogram("datalog.rule.apply_sec", obs.LatencyBuckets())
 	s.hOpNodes = s.reg.Histogram("datalog.op.result_nodes", obs.SizeBuckets())
 	for i, rule := range s.prog.Rules {
@@ -564,7 +570,7 @@ func (s *Solver) solveStratum(idx int, st *stratum, resume *resumeState) error {
 	if resume == nil {
 		for _, cr := range ev.rules {
 			if len(cr.recursivePositions(ev.inStratum)) == 0 {
-				s.derive(cr, cr.plans[-1], nil, nil)
+				s.derive(ev, cr, cr.plans[-1], nil, nil)
 			}
 		}
 	}
@@ -594,6 +600,11 @@ type stratumEval struct {
 	// rules holds every non-fact rule of the stratum in program order;
 	// recur the subset reading a predicate of the stratum itself.
 	rules, recur []*compiledRule
+	// advance indexes, by source predicate, the hoisting caches the
+	// semi-naive loop reads while their source grows: the recursive
+	// literals of rules with more than one recursive position (each is
+	// read in full by the variants whose delta sits elsewhere).
+	advance map[string][]*litCache
 }
 
 // planStratum plans every rule of the stratum against the
@@ -601,7 +612,11 @@ type stratumEval struct {
 // recursive relations hold their current values). Each rule gets a
 // base variant and one delta variant per recursive position.
 func (s *Solver) planStratum(st *stratum) *stratumEval {
-	ev := &stratumEval{inStratum: make(map[string]bool), card: s.cardFn()}
+	ev := &stratumEval{
+		inStratum: make(map[string]bool),
+		card:      s.cardFn(),
+		advance:   make(map[string][]*litCache),
+	}
 	for _, p := range st.preds {
 		ev.inStratum[p] = true
 	}
@@ -612,8 +627,15 @@ func (s *Solver) planStratum(st *stratum) *stratumEval {
 		cr := s.compiled[rule]
 		s.planRule(cr, ev.inStratum, ev.card)
 		ev.rules = append(ev.rules, cr)
-		if len(cr.recursivePositions(ev.inStratum)) > 0 {
+		rec := cr.recursivePositions(ev.inStratum)
+		if len(rec) > 0 {
 			ev.recur = append(ev.recur, cr)
+		}
+		if len(rec) > 1 {
+			for _, pos := range rec {
+				pred := cr.naive.Lits[pos].Pred
+				ev.advance[pred] = append(ev.advance[pred], cr.cache[pos])
+			}
 		}
 	}
 	return ev
@@ -630,10 +652,28 @@ func (ev *stratumEval) release(m *bdd.Manager) {
 
 // derive applies one plan variant (delta is what its delta literal
 // reads, nil for the base variant), adds the result's new tuples to the
-// head relation, and merges them into frontier under the head
-// predicate when frontier is non-nil. Every rule application goes
-// through here.
-func (s *Solver) derive(cr *compiledRule, p *plan.Plan, delta *rel.Relation, frontier map[string]*rel.Relation) {
+// head relation, advances the stratum's hoisting caches over the head,
+// and merges the new tuples into frontier under the head predicate
+// when frontier is non-nil. Every rule application goes through here,
+// and its rule span and timer cover all of it, cache advances included.
+func (s *Solver) derive(ev *stratumEval, cr *compiledRule, p *plan.Plan, delta *rel.Relation, frontier map[string]*rel.Relation) {
+	// One coarse cancellation/budget check per rule application; the
+	// fine-grained strided polls live inside the BDD recursions.
+	s.opts.Control.Check()
+	ro := s.ruleObs[cr.rule]
+	start := time.Now()
+	if s.tr != nil {
+		s.tr.Begin(ro.span)
+	}
+	defer func() {
+		d := time.Since(start)
+		ro.timer.Observe(d)
+		s.hRuleApply.Observe(d.Seconds())
+		if s.tr != nil {
+			s.tr.End()
+		}
+	}()
+	s.cApps.Inc()
 	res := s.execPlan(cr, p, delta)
 	head := s.rels[cr.rule.Head.Pred]
 	fresh := res.Minus("fresh", head)
@@ -643,7 +683,9 @@ func (s *Solver) derive(cr *compiledRule, p *plan.Plan, delta *rel.Relation, fro
 		return
 	}
 	s.countDelta(cr.rule, fresh)
+	pre := head.Stamp()
 	head.UnionWith(fresh)
+	s.advanceCaches(ev.advance[cr.rule.Head.Pred], head, pre, fresh)
 	if frontier == nil {
 		fresh.Free()
 		return
@@ -653,6 +695,26 @@ func (s *Solver) derive(cr *compiledRule, p *plan.Plan, delta *rel.Relation, fro
 	} else {
 		d.UnionWith(fresh)
 		fresh.Free()
+	}
+}
+
+// advanceCaches keeps hoisted normalizations of head current across
+// head ∪= fresh, where pre is head's stamp before the union: an entry
+// that was valid then (same source, stamp pre) and whose pipeline
+// distributes over union becomes norm ∪ pipeline(fresh), which equals
+// a rebuild from the grown head. Other entries are left to fail their
+// stamp check.
+func (s *Solver) advanceCaches(caches []*litCache, head *rel.Relation, pre uint64, fresh *rel.Relation) {
+	for _, c := range caches {
+		if c.norm == nil || c.src != head || c.stamp != pre || !c.canAdvance() {
+			continue
+		}
+		add := s.runPipeline(c.lit, fresh)
+		c.norm.UnionWith(add)
+		add.Free()
+		c.stamp = head.Stamp()
+		c.advances++
+		s.cHoistAdvances.Inc()
 	}
 }
 
@@ -675,7 +737,7 @@ func (s *Solver) fixpoint(idx int, ev *stratumEval, delta map[string]*rel.Relati
 		for _, cr := range ev.recur {
 			for _, pos := range cr.recursivePositions(ev.inStratum) {
 				if d := delta[cr.naive.Lits[pos].Pred]; d != nil && !d.IsEmpty() {
-					s.derive(cr, cr.plans[pos], d, next)
+					s.derive(ev, cr, cr.plans[pos], d, next)
 				}
 			}
 		}

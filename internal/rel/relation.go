@@ -172,37 +172,41 @@ func (r *Relation) Clone(name string) *Relation {
 	return r.derive(name, r.u.M.Ref(r.root))
 }
 
-// tupleCube builds the conjunction selecting exactly one tuple.
-func tupleCube(u *Universe, attrs []Attr, vals []uint64) bdd.Node {
-	m := u.M
-	cube := m.Ref(bdd.True)
-	for i, a := range attrs {
-		eq := a.Phys.Eq(vals[i])
-		next := m.And(cube, eq)
-		m.Deref(cube)
-		m.Deref(eq)
-		cube = next
-	}
-	return cube
-}
-
 // AddTuple inserts one tuple, with values listed in attribute order.
 func (r *Relation) AddTuple(vals ...uint64) {
+	r.AddTuples([][]uint64{vals})
+}
+
+// AddTuples inserts a batch of tuples, each with values listed in
+// attribute order. The batch's BDD is built in one bottom-up pass
+// (bdd.FromRows) and ORed into the relation once; duplicates, within
+// the batch or against tuples already present, are fine. Every row is
+// validated before anything is inserted.
+func (r *Relation) AddTuples(rows [][]uint64) {
 	r.requireMutable("AddTuple")
-	if len(vals) != len(r.attrs) {
-		panic(fmt.Sprintf("rel: AddTuple(%v) into %s(%s)", vals, r.Name, r.attrNames()))
+	if len(rows) == 0 {
+		return
 	}
+	doms := make([]*bdd.Domain, len(r.attrs))
 	for i, a := range r.attrs {
-		if vals[i] >= a.Dom.Size {
-			panic(fmt.Sprintf("rel: value %d exceeds domain %s (size %d) in %s.%s",
-				vals[i], a.Dom.Name, a.Dom.Size, r.Name, a.Name))
+		doms[i] = a.Phys
+	}
+	for _, vals := range rows {
+		if len(vals) != len(r.attrs) {
+			panic(fmt.Sprintf("rel: AddTuple(%v) into %s(%s)", vals, r.Name, r.attrNames()))
+		}
+		for i, a := range r.attrs {
+			if vals[i] >= a.Dom.Size {
+				panic(fmt.Sprintf("rel: value %d exceeds domain %s (size %d) in %s.%s",
+					vals[i], a.Dom.Name, a.Dom.Size, r.Name, a.Name))
+			}
 		}
 	}
 	m := r.u.M
-	cube := tupleCube(r.u, r.attrs, vals)
-	next := m.Or(r.root, cube)
+	batch := m.FromRows(doms, rows)
+	next := m.Or(r.root, batch)
 	m.Deref(r.root)
-	m.Deref(cube)
+	m.Deref(batch)
 	r.root = next
 	r.touch()
 }
