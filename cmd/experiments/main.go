@@ -5,13 +5,15 @@
 //	experiments -figure 3            # Figure 3 on all 21 benchmarks
 //	experiments -figure 4 -benches freetts,jetty
 //	experiments -figure all -small   # every figure on the small subset
-//	experiments -figure 4 -json BENCH_figure4.json
-//	experiments -figure precision -json BENCH_precision.json
+//	experiments -figure 4 -metrics figure4.json
+//	experiments -figure precision -metrics precision.json
 //
-// -json writes the figure tables as flat metrics JSON (the BENCH_*.json
-// trajectory format) with keys like figure4.<bench>.cs_pointer.time_sec.
-// The shared observability flags (-trace, -metrics, -v, -cpuprofile,
-// -memprofile) instrument the analysis runs themselves.
+// -metrics writes the figure tables as one flat metrics JSON, with keys
+// like figure4.<bench>.cs_pointer.time_sec and
+// precision.<workload>.<mode>.pairs. The other shared observability
+// flags (-trace, -v, -cpuprofile, -memprofile) instrument the analysis
+// runs themselves. The repeated, gated timings live in perfbench
+// (bash perfbench/run.sh, declared by BENCHMARK.json), not here.
 //
 // Resilience: -timeout and -max-nodes bound the whole regeneration
 // (exit code 3 on exhaustion) and Ctrl-C cancels it (exit code 4).
@@ -42,7 +44,6 @@ func main() {
 	small := flag.Bool("small", false, "restrict every figure to the small subset")
 	search := flag.String("ordersearch", "", "run the Section 2.4.2 empirical variable-order search for Algorithm 5 on this benchmark")
 	trials := flag.Int("trials", 12, "order-search trial budget")
-	jsonPath := flag.String("json", "", "write the figure tables as metrics JSON to this file")
 	var oflags obs.Flags
 	oflags.Register(flag.CommandLine)
 	var rflags resilience.Flags
@@ -90,7 +91,11 @@ func main() {
 	s := experiments.NewSuite()
 	s.SetObs(sess.Tracer)
 	s.SetControl(ctx, rflags.Budget())
-	table := make(map[string]float64) // accumulated -json figure metrics
+	record := func(values map[string]float64) {
+		for k, v := range values {
+			sess.Metrics.Set(k, v)
+		}
+	}
 	run := func(fig string) error {
 		switch fig {
 		case "3":
@@ -100,7 +105,7 @@ func main() {
 			}
 			fmt.Println("Figure 3: benchmark vital statistics (measured | paper)")
 			experiments.WriteFigure3(os.Stdout, rows)
-			merge(table, experiments.Figure3Metrics(rows))
+			record(experiments.Figure3Metrics(rows))
 		case "4":
 			rows, err := s.Figure4(pick(*benches, names, defaultSubset()))
 			if err != nil {
@@ -108,7 +113,7 @@ func main() {
 			}
 			fmt.Println("Figure 4: analysis times and peak live BDD memory")
 			experiments.WriteFigure4(os.Stdout, rows)
-			merge(table, experiments.Figure4Metrics(rows))
+			record(experiments.Figure4Metrics(rows))
 		case "5":
 			rows, err := s.Figure5(pick(*benches, names, defaultSubset()))
 			if err != nil {
@@ -116,7 +121,7 @@ func main() {
 			}
 			fmt.Println("Figure 5: escape analysis results")
 			experiments.WriteFigure5(os.Stdout, rows)
-			merge(table, experiments.Figure5Metrics(rows))
+			record(experiments.Figure5Metrics(rows))
 		case "6":
 			rows, err := s.Figure6(pick(*benches, names, defaultSubset()))
 			if err != nil {
@@ -124,7 +129,7 @@ func main() {
 			}
 			fmt.Println("Figure 6: type refinement precision (multi-typed % / refinable %)")
 			experiments.WriteFigure6(os.Stdout, rows)
-			merge(table, experiments.Figure6Metrics(rows))
+			record(experiments.Figure6Metrics(rows))
 		case "precision":
 			reps, err := s.Precision(pick(*benches, names, experiments.PrecisionNames()))
 			if err != nil {
@@ -132,7 +137,9 @@ func main() {
 			}
 			fmt.Println("Precision: {ci, cs, heap-cs} mode comparison")
 			experiments.WritePrecision(os.Stdout, reps)
-			merge(table, experiments.PrecisionMetrics(reps))
+			for _, rep := range reps {
+				record(rep.Metrics())
+			}
 		default:
 			return fmt.Errorf("unknown figure %q", fig)
 		}
@@ -148,34 +155,10 @@ func main() {
 			fatal(err)
 		}
 	}
-	if *jsonPath != "" {
-		if err := writeTable(*jsonPath, table); err != nil {
-			fatal(err)
-		}
-	}
 	if err := sess.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-}
-
-func merge(dst, src map[string]float64) {
-	for k, v := range src {
-		dst[k] = v
-	}
-}
-
-// writeTable writes the accumulated figure metrics as BENCH-style JSON.
-func writeTable(path string, table map[string]float64) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteMetricsJSON(f, "experiments", table); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // pick returns explicit names when given, otherwise the default set.

@@ -42,9 +42,13 @@
 // and DESIGN.md §11. A .jp program has no source positions, so its
 // reports fall back to the raw names.
 //
-// -bench-out FILE writes the session metrics (lowering tallies, solve
-// time, BDD statistics) as a metrics JSON. Observability (-trace,
-// -metrics, -v, -cpuprofile) and resilience (-timeout, -max-nodes,
+// -metrics FILE writes the session metrics as one flat JSON: program
+// size (gofront.classes/methods/stmts/allocs/invokes), the Go lowering
+// tallies (gofront.packages/funcs/closures/goroutines/extern_calls/
+// type_errors, only when Go packages were lowered), extract.vars,
+// extract.heaps, solve.vp_pairs, and the solver's own keys (solve time,
+// op counts, BDD statistics). Observability (-trace, -metrics, -v,
+// -cpuprofile) and resilience (-timeout, -max-nodes,
 // -checkpoint-dir, -resume) flags are shared with the other commands:
 // budgets exit with code 3, Ctrl-C with code 4. A context-sensitive run
 // that blows its budget degrades to the context-insensitive result
@@ -79,7 +83,6 @@ func main() {
 	entries := flag.String("entries", "auto", "analysis roots: auto|main|exported|all")
 	report := flag.String("report", "", "comma-separated reports: nil,escape,precision")
 	varName := flag.String("var", "", "print the points-to set of this variable (Class.method/v)")
-	benchOut := flag.String("bench-out", "", "write lowering+solve metrics JSON to this file")
 	var oflags obs.Flags
 	oflags.Register(flag.CommandLine)
 	var rflags resilience.Flags
@@ -96,7 +99,7 @@ func main() {
 		os.Exit(1)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	runErr := run(ctx, sess, rflags, flag.Args(), *algo, *entries, *report, *varName, *benchOut)
+	runErr := run(ctx, sess, rflags, flag.Args(), *algo, *entries, *report, *varName)
 	stop()
 	if err := sess.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "gopointsto:", err)
@@ -108,7 +111,7 @@ func main() {
 }
 
 func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags,
-	patterns []string, algo, entries, report, varName, benchOut string) error {
+	patterns []string, algo, entries, report, varName string) error {
 	tr := sess.Tracer
 	reports := make(map[string]bool)
 	for _, r := range strings.Split(report, ",") {
@@ -122,11 +125,17 @@ func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags,
 		reports[r] = true
 	}
 
-	res, err := load(tr, patterns, entries)
+	res, err := load(tr, sess.Metrics, patterns, entries)
 	if err != nil {
 		return err
 	}
 	meta := res.Meta
+	st := res.Prog.Stats()
+	sess.Metrics.Set("gofront.classes", float64(st.Classes))
+	sess.Metrics.Set("gofront.methods", float64(st.Methods))
+	sess.Metrics.Set("gofront.stmts", float64(st.Stmts))
+	sess.Metrics.Set("gofront.allocs", float64(st.Allocs))
+	sess.Metrics.Set("gofront.invokes", float64(st.Invokes))
 
 	obs.Begin(tr, "gopointsto.extract")
 	f, err := extract.Extract(res.Prog, extract.Options{})
@@ -134,6 +143,8 @@ func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags,
 	if err != nil {
 		return err
 	}
+	sess.Metrics.Set("extract.vars", float64(len(f.Vars)))
+	sess.Metrics.Set("extract.heaps", float64(len(f.Heaps)))
 
 	cfg := analysis.Config{
 		Tracer: tr, Metrics: sess.Metrics,
@@ -180,6 +191,7 @@ func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags,
 			callgraph.FormatPathCount(r.Numbering.TotalPaths))
 	}
 	pairs := r.PointsToPairs()
+	sess.Metrics.Set("solve.vp_pairs", float64(len(pairs)))
 	fmt.Printf("points-to pairs (context-projected): %d over %d variables and %d heap objects\n",
 		len(pairs), len(f.Vars), len(f.Heaps))
 	if algo == "type" && !r.Degraded {
@@ -224,20 +236,14 @@ func run(ctx context.Context, sess *obs.Session, rflags resilience.Flags,
 		}
 		printEscapeReport(er, f, meta)
 	}
-
-	if benchOut != "" {
-		if err := writeBench(benchOut, sess, res, f, len(pairs)); err != nil {
-			return err
-		}
-		fmt.Printf("metrics written to %s\n", benchOut)
-	}
 	return nil
 }
 
 // load produces the IR program: a single .jp argument is parsed as the
 // textual IR, anything else is lowered from Go packages. A .jp program
-// gets empty lowering metadata, so the reports fall back to raw names.
-func load(tr obs.Tracer, args []string, entries string) (*gofront.Result, error) {
+// gets empty lowering metadata, so the reports fall back to raw names;
+// only Go input records the lowering tallies into m.
+func load(tr obs.Tracer, m *obs.Metrics, args []string, entries string) (*gofront.Result, error) {
 	if len(args) == 1 && strings.HasSuffix(args[0], ".jp") {
 		src, err := os.ReadFile(args[0])
 		if err != nil {
@@ -262,6 +268,12 @@ func load(tr obs.Tracer, args []string, entries string) (*gofront.Result, error)
 	}
 	meta := res.Meta
 	st := res.Prog.Stats()
+	m.Set("gofront.packages", float64(len(meta.Packages)))
+	m.Set("gofront.funcs", float64(meta.Funcs))
+	m.Set("gofront.closures", float64(meta.Closures))
+	m.Set("gofront.goroutines", float64(meta.Goroutines))
+	m.Set("gofront.extern_calls", float64(meta.ExternCalls))
+	m.Set("gofront.type_errors", float64(meta.TypeErrors))
 	fmt.Printf("lowered %d packages (%d requested): %d classes, %d methods, %d stmts, %d allocation sites\n",
 		len(meta.Packages), len(meta.Requested), st.Classes, st.Methods, st.Stmts, st.Allocs)
 	if meta.TypeErrors > 0 {
@@ -355,35 +367,4 @@ func printEscapeReport(r *analysis.Result, f *extract.Facts, meta *gofront.Meta)
 		}
 		fmt.Printf("  %s: %s allocated in %s escapes its goroutine\n", loc, s.Type, s.Method)
 	}
-}
-
-// writeBench merges the session metrics with lowering tallies and
-// writes them as one metrics JSON.
-func writeBench(path string, sess *obs.Session, res *gofront.Result, f *extract.Facts, pairCount int) error {
-	values := sess.Metrics.Snapshot()
-	st := res.Prog.Stats()
-	meta := res.Meta
-	values["gofront.packages"] = float64(len(meta.Packages))
-	values["gofront.classes"] = float64(st.Classes)
-	values["gofront.methods"] = float64(st.Methods)
-	values["gofront.stmts"] = float64(st.Stmts)
-	values["gofront.allocs"] = float64(st.Allocs)
-	values["gofront.invokes"] = float64(st.Invokes)
-	values["gofront.funcs"] = float64(meta.Funcs)
-	values["gofront.closures"] = float64(meta.Closures)
-	values["gofront.goroutines"] = float64(meta.Goroutines)
-	values["gofront.extern_calls"] = float64(meta.ExternCalls)
-	values["gofront.type_errors"] = float64(meta.TypeErrors)
-	values["extract.vars"] = float64(len(f.Vars))
-	values["extract.heaps"] = float64(len(f.Heaps))
-	values["solve.vp_pairs"] = float64(pairCount)
-	w, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteMetricsJSON(w, "gopointsto", values); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
 }

@@ -1,5 +1,5 @@
 // Command obsreport reads the observability files the other commands
-// emit — flat metrics JSON (-metrics, BENCH_*.json), Chrome
+// emit — flat metrics JSON (-metrics), Chrome
 // trace-event JSON (-trace), and sampler time-series dumps
 // (/debug/timeseries, SIGQUIT) — and reduces them to the views a perf
 // investigation starts from.
@@ -14,10 +14,13 @@
 // diff compares two metrics files and prints every key whose relative
 // change meets the threshold, flagging changes in the bad direction
 // (cost-like keys up, goodness-like keys down) as regressions. With
-// -fail it exits 1 when any regression is found, which makes it usable
-// as a CI perf gate:
+// -fail it exits 1 when any regression is found:
 //
-//	obsreport diff -threshold 25% -fail BENCH_serve.json new.json
+//	obsreport diff -threshold 25% -fail old.json new.json
+//
+// diff compares two single runs; for repeated, gated timings use the
+// repository benchmark (bash perfbench/run.sh, declared by
+// BENCHMARK.json).
 package main
 
 import (

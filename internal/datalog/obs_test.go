@@ -191,3 +191,43 @@ func TestRuleTupleKeysOnlyWhenCounted(t *testing.T) {
 		t.Errorf("counting solve exports %v, want one key per rule", keys)
 	}
 }
+
+// TestSharedRegistrySumsWorkCounters: two solves exporting into one
+// registry leave each work counter at the sum of the two solvers' own
+// counts, while a gauge keeps the last solve's value.
+func TestSharedRegistrySumsWorkCounters(t *testing.T) {
+	shared := obs.New()
+	var solvers []*Solver
+	for _, n := range []uint64{4, 11} {
+		s, err := NewSolver(MustParse(tcSrc), Options{Metrics: shared})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(0); i < n; i++ {
+			s.Relation("e").AddTuple(i, i+1)
+		}
+		if err := s.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		solvers = append(solvers, s)
+	}
+	keys := []string{keyRuleApps, keyIters,
+		"datalog.op.norm_cache_hits", "datalog.op.norm_cache_misses",
+		"datalog.op.norm_cache_advances", "datalog.op.reshape_moves"}
+	for _, key := range opMetricKeys {
+		keys = append(keys, key)
+	}
+	got := shared.Snapshot()
+	first, last := solvers[0].Metrics().Snapshot(), solvers[1].Metrics().Snapshot()
+	if first[keyIters] == 0 || last[keyIters] == 0 {
+		t.Fatalf("iterations %v and %v: both solves must count work", first[keyIters], last[keyIters])
+	}
+	for _, key := range keys {
+		if want := first[key] + last[key]; got[key] != want {
+			t.Errorf("%s = %v, want %v + %v", key, got[key], first[key], last[key])
+		}
+	}
+	if got["datalog.solve.sec"] != last["datalog.solve.sec"] {
+		t.Errorf("datalog.solve.sec = %v, want the last solve's %v", got["datalog.solve.sec"], last["datalog.solve.sec"])
+	}
+}

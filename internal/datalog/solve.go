@@ -48,9 +48,12 @@ type Options struct {
 	// Metrics, when set, receives a flat summary at the end of Solve:
 	// solve time, iteration and rule-application counts, per-rule
 	// timings, BDD stats (peak live nodes, GCs, per-cache hit ratios),
-	// and final relation cardinalities. Values are written as gauges, so
-	// a registry shared across several solves keeps the last solve's
-	// numbers per key.
+	// and final relation cardinalities. The work counters
+	// (datalog.op.*, datalog.rule_applications, datalog.iterations) add
+	// to what earlier solves exported, so a registry shared across
+	// several solves holds their totals. Every other key, including the
+	// per-rule datalog.rule.NNN keys, is written as a gauge and keeps
+	// the last solve's value.
 	Metrics *obs.Metrics
 	// Control, when set, is polled for cancellation and resource budgets
 	// throughout evaluation: inside the BDD operations, per rule
@@ -162,8 +165,10 @@ type Solver struct {
 	// solver keeps (rule applications, iterations, per-rule timers,
 	// solve time, BDD stats) lives here, and SolverStats is derived
 	// from it. opts.Metrics, if set, gets a flattened copy at the end
-	// of Solve.
+	// of Solve (exportMetrics); work holds the counters that copy adds
+	// rather than sets.
 	reg    *obs.Metrics
+	work   map[string]*obs.Counter
 	tr     obs.Tracer
 	cApps  *obs.Counter
 	cIters *obs.Counter
@@ -322,16 +327,22 @@ func NewSolver(prog *Program, opts Options) (*Solver, error) {
 // timer handles, plus tuple counters when CountRuleTuples is set. Both
 // NewSolver and QueryBase.Eval-built solvers go through here.
 func (s *Solver) initObs() {
-	s.cApps = s.reg.Counter(keyRuleApps)
-	s.cIters = s.reg.Counter(keyIters)
+	s.work = make(map[string]*obs.Counter)
+	work := func(key string) *obs.Counter {
+		c := s.reg.Counter(key)
+		s.work[key] = c
+		return c
+	}
+	s.cApps = work(keyRuleApps)
+	s.cIters = work(keyIters)
 	s.opCounters = make(map[string]*obs.Counter)
 	for kind, key := range opMetricKeys {
-		s.opCounters[kind] = s.reg.Counter(key)
+		s.opCounters[kind] = work(key)
 	}
-	s.cHoistHits = s.reg.Counter("datalog.op.norm_cache_hits")
-	s.cHoistMisses = s.reg.Counter("datalog.op.norm_cache_misses")
-	s.cHoistAdvances = s.reg.Counter("datalog.op.norm_cache_advances")
-	s.cReshapeMoves = s.reg.Counter("datalog.op.reshape_moves")
+	s.cHoistHits = work("datalog.op.norm_cache_hits")
+	s.cHoistMisses = work("datalog.op.norm_cache_misses")
+	s.cHoistAdvances = work("datalog.op.norm_cache_advances")
+	s.cReshapeMoves = work("datalog.op.reshape_moves")
 	s.hRuleApply = s.reg.Histogram("datalog.rule.apply_sec", obs.LatencyBuckets())
 	s.hOpNodes = s.reg.Histogram("datalog.op.result_nodes", obs.SizeBuckets())
 	for i, rule := range s.prog.Rules {
@@ -507,11 +518,23 @@ func (s *Solver) Solve() (err error) {
 	s.u.M.Stats().AddTo(s.reg)
 	s.collectRelationCards()
 	if s.opts.Metrics != nil {
-		for k, v := range s.reg.Snapshot() {
-			s.opts.Metrics.Set(k, v)
-		}
+		s.exportMetrics(s.opts.Metrics)
 	}
 	return nil
+}
+
+// exportMetrics copies the private registry into dst: the work
+// counters add to dst's counters of the same name, every other key
+// overwrites dst's gauge.
+func (s *Solver) exportMetrics(dst *obs.Metrics) {
+	snap := s.reg.Snapshot()
+	for k, c := range s.work {
+		dst.Counter(k).Add(c.Value())
+		delete(snap, k)
+	}
+	for k, v := range snap {
+		dst.Set(k, v)
+	}
 }
 
 // collectRelationCards records every declared relation's final exact

@@ -27,9 +27,9 @@ func (s *Suite) cfg(extraSrc string) analysis.Config {
 	return analysis.Config{Tracer: s.tr, ExtraSrc: extraSrc, Context: s.ctx, Budget: s.budget}
 }
 
-// The FigureNMetrics functions flatten figure rows into the dotted-key
-// metrics map written by obs.WriteMetricsJSON — the BENCH_*.json
-// trajectory format. Keys are "figure4.<bench>.<analysis>.<metric>".
+// The FigureNMetrics functions flatten figure rows into dotted keys,
+// "figure4.<bench>.<analysis>.<metric>", which cmd/experiments records
+// in the session registry behind its -metrics file.
 
 func bigMetric(k *big.Int) float64 {
 	if k == nil {

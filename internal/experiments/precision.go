@@ -49,15 +49,3 @@ func WritePrecision(w io.Writer, reps []*precision.Report) {
 		rep.WriteText(w)
 	}
 }
-
-// PrecisionMetrics flattens reports into the BENCH_precision.json
-// trajectory map.
-func PrecisionMetrics(reps []*precision.Report) map[string]float64 {
-	m := make(map[string]float64)
-	for _, rep := range reps {
-		for k, v := range rep.Metrics() {
-			m[k] = v
-		}
-	}
-	return m
-}

@@ -7,7 +7,7 @@ import (
 
 // BuildInfo identifies the running binary: what /healthz and the
 // metrics exposition report so an operator can join a live daemon (or
-// a BENCH_*.json file) back to a commit.
+// a -metrics file) back to a commit.
 type BuildInfo struct {
 	// Path is the main module path, Version its module version
 	// ("(devel)" for source builds).

@@ -9,8 +9,7 @@ import (
 	"sort"
 )
 
-// The flat metrics-JSON format shared by -metrics files and the
-// BENCH_*.json trajectory files:
+// The flat metrics-JSON format of every command's -metrics file:
 //
 //	{
 //	  "name": "figure4",

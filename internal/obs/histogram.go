@@ -156,7 +156,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 }
 
 // addTo flattens the histogram's derived statistics under its name —
-// the keys the flat metrics JSON and BENCH_*.json files carry.
+// the keys the flat metrics JSON (-metrics) carries.
 func (h *Histogram) addTo(name string, out map[string]float64) {
 	out[name+".count"] = float64(h.Count())
 	out[name+".sum"] = h.Sum()

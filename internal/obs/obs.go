@@ -2,8 +2,8 @@
 // tracing (timestamped span/counter events) and a lock-cheap metrics
 // registry (counters, gauges, timers), with two sinks — Chrome
 // trace-event JSON (loadable in Perfetto or chrome://tracing) and a
-// flat metrics-JSON exporter used by the BENCH_*.json trajectory
-// files. It depends only on the standard library.
+// flat metrics-JSON exporter behind every command's -metrics file. It
+// depends only on the standard library.
 //
 // The design rule for hot paths: a disabled tracer is a nil Tracer,
 // and every emission site guards with a nil check (directly or via the

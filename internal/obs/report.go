@@ -12,11 +12,10 @@ import (
 )
 
 // Offline report helpers behind cmd/obsreport: load the repo's three
-// observability file formats (flat metrics JSON / BENCH_*.json, Chrome
+// observability file formats (flat metrics JSON from -metrics, Chrome
 // trace-event JSON, sampler time-series JSON) and reduce them to the
 // views a perf investigation starts from — hottest rules and ops,
-// per-phase breakdowns, and a thresholded two-file diff usable as a CI
-// perf-regression gate.
+// per-phase breakdowns, and a thresholded two-file diff.
 
 // MetricsFile is a parsed flat metrics JSON document.
 type MetricsFile struct {
@@ -24,7 +23,7 @@ type MetricsFile struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// ReadMetricsFile loads a -metrics / BENCH_*.json file.
+// ReadMetricsFile loads a -metrics file.
 func ReadMetricsFile(path string) (MetricsFile, error) {
 	var mf MetricsFile
 	data, err := os.ReadFile(path)

@@ -129,8 +129,8 @@ func (r *Report) WriteText(w io.Writer) {
 	}
 }
 
-// Metrics flattens the report into the dotted-key map of the
-// BENCH_*.json trajectory format: "precision.<workload>.<mode>.<metric>".
+// Metrics flattens the report into dotted keys,
+// "precision.<workload>.<mode>.<metric>", for a -metrics file.
 func (r *Report) Metrics() map[string]float64 {
 	m := make(map[string]float64)
 	p := "precision." + r.Workload + "."

@@ -109,11 +109,12 @@ func BenchmarkServeQuery(b *testing.B) {
 	}
 }
 
-// TestWriteServeBench records the cold/cached serving numbers into
-// BENCH_serve.json (the repo's flat metrics format). Gated behind
-// BENCH_SERVE_OUT so the regular test run stays fast:
+// TestWriteServeBench records the cold/cached serving numbers into the
+// flat metrics file named by BENCH_SERVE_OUT and fails unless cached
+// reads are at least 10× faster than cold ones. Gated behind the
+// variable so the regular test run stays fast:
 //
-//	BENCH_SERVE_OUT=BENCH_serve.json go test ./internal/serve -run TestWriteServeBench
+//	BENCH_SERVE_OUT=serve.json go test ./internal/serve -run TestWriteServeBench
 func TestWriteServeBench(t *testing.T) {
 	out := os.Getenv("BENCH_SERVE_OUT")
 	if out == "" {
@@ -178,12 +179,12 @@ func TestWriteServeBench(t *testing.T) {
 // TestWriteObsBench records the serving percentiles as the daemon
 // itself observes them — read back from the serve.latency.* histograms
 // the request middleware feeds, not recomputed from caller-side
-// stopwatches — into BENCH_obs.json. This exercises the full
-// production observability path: middleware → lock-free histogram →
-// registry snapshot → percentile estimation. Gated behind
-// BENCH_OBS_OUT:
+// stopwatches — into the flat metrics file named by BENCH_OBS_OUT. This
+// exercises the full production observability path: middleware →
+// lock-free histogram → registry snapshot → percentile estimation.
+// Gated behind the variable:
 //
-//	BENCH_OBS_OUT=BENCH_obs.json go test ./internal/serve -run TestWriteObsBench
+//	BENCH_OBS_OUT=obs.json go test ./internal/serve -run TestWriteObsBench
 func TestWriteObsBench(t *testing.T) {
 	out := os.Getenv("BENCH_OBS_OUT")
 	if out == "" {
